@@ -21,7 +21,7 @@ from . import learn as ln
 from . import operators as op
 from . import paths as pa
 from .errors import MlapIOError, ValidationError
-from .net import derive, irreducibility
+from .net import irreducibility
 from .netio import emit_fixtures, load_network, network_checksum
 from .suites import SUITE_IDS, default_boundary, run_suite
 
@@ -32,14 +32,19 @@ def _vector_arg(net, text, name):
     """Parse a vector argument: inline JSON list or @file with a JSON list."""
     if text is None:
         raise ValidationError(f"missing required vector --{name}")
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(text)
-    v = np.asarray(data, dtype=float)
+    try:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                data = json.load(fh)
+        else:
+            data = json.loads(text)
+        v = np.asarray(data, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"--{name} is not a JSON list of numbers: {exc}") from None
     if v.shape != (net.n,):
         raise ValidationError(f"--{name} must have length {net.n}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"--{name} has non-finite entries")
     return v
 
 
@@ -47,14 +52,19 @@ def _set_arg(net, text):
     """Comma-separated state ids -> sorted index list; empty string -> []."""
     if not text:
         return []
-    return [net.index(_coerce(net, tok)) for tok in text.split(",")]
+    return [net.index(tok) for tok in text.split(",")]
 
 
-def _coerce(net, token):
-    for s in net.states:
-        if str(s) == token:
-            return s
-    raise ValidationError(f"unknown state {token!r}")
+def _family_arg(net, path):
+    """Set family from a JSON file holding a list of lists of state ids."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"--sets is not valid JSON: {exc}") from None
+    if not isinstance(raw, list) or not all(isinstance(A, list) for A in raw):
+        raise ValidationError("--sets must hold a JSON list of lists of state ids")
+    return [[net.index(s) for s in A] for A in raw]
 
 
 def _emit(payload, args):
@@ -81,7 +91,6 @@ def _load(args):
 
 def cmd_inspect(args):
     net = _load(args)
-    d = derive(net)
     irr = irreducibility(net)
     spec = op.spectrum_P(net)
     _emit(
@@ -91,8 +100,8 @@ def cmd_inspect(args):
             "states": [str(s) for s in net.states],
             "mu_total": float(np.sum(net.mu)),
             "coupling_total": float(np.sum(net.W)),
-            "conductance": d.c.tolist(),
-            "stationary": d.nu.tolist(),
+            "conductance": net.c.tolist(),
+            "stationary": net.nu.tolist(),
             "irreducible": irr.irreducible,
             "components": [list(c) for c in irr.components],
             "spectrum": spec.tolist(),
@@ -175,11 +184,8 @@ def cmd_decompose(args):
 def cmd_sample(args):
     net = _load(args)
     batch = pa.sample_paths(net, args.seed, args.steps, args.paths, args.start)
-    d = derive(net)
-    counts = np.zeros((net.n, net.n))
-    for t in range(args.steps):
-        np.add.at(counts, (batch.paths[:, t], batch.paths[:, t + 1]), 1.0)
-    rows = counts.sum(axis=1, keepdims=True)
+    counts, visits = pa.transition_counts(net, batch)
+    rows = visits[:, None]
     emp = np.divide(counts, rows, out=np.zeros_like(counts), where=rows > 0)
     payload = {
         "checksum": network_checksum(net),
@@ -188,7 +194,7 @@ def cmd_sample(args):
         "paths": batch.count,
         "start": batch.start_law,
         "empirical_transitions": emp.tolist(),
-        "max_transition_gap": float(np.max(np.abs(emp - d.P))),
+        "max_transition_gap": float(np.max(np.abs(emp - net.P))),
     }
     if args.dump:
         with open(args.dump, "w", newline="") as fh:
@@ -223,9 +229,7 @@ def cmd_kernel(args):
     kernel_id = KERNEL_ALIASES.get(args.kind)
     if kernel_id is None:
         raise ValidationError(f"--kind must be one of {sorted(KERNEL_ALIASES)}")
-    with open(args.sets) as fh:
-        raw = json.load(fh)
-    family = [[net.index(_coerce(net, str(s))) for s in A] for A in raw]
+    family = _family_arg(net, args.sets)
     boundary = None
     if kernel_id in ("K", "N_rho"):
         boundary = _set_arg(net, args.boundary) if args.boundary else default_boundary(net)
@@ -360,6 +364,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 2**64:
+            raise ValidationError(f"--seed must lie in [0, 2**64), got {args.seed}")
         return args.func(args)
     except (MlapIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,13 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    SingularSystem,
-    TrappedInterior,
-    UnbalancedSets,
-)
-from .net import Network, components, derive
+from .errors import DimensionMismatch, SingularSystem, UnbalancedSets
+from .net import Network, boundary_config, components
 from .operators import apply_Delta, apply_P, laplacian_matrix
 
 BALANCE_ATOL = 1e-12
@@ -78,11 +73,18 @@ def indicator(net: Network, A) -> np.ndarray:
     return chi
 
 
+def incidence(net: Network, family) -> np.ndarray:
+    """0/1 matrix with one row per set of ``family`` and one column per state."""
+    X = np.zeros((len(family), net.n))
+    for a, A in enumerate(family):
+        X[a, list(A)] = 1.0
+    return X
+
+
 def canonicalize(net: Network, f) -> EnergyElement:
     """Zero-nu-mean representative of the energy class of ``f``."""
     f = np.asarray(f, dtype=float)
-    nu = net.W.sum(axis=1)
-    return EnergyElement(f - np.dot(nu, f) / np.sum(nu), True)
+    return EnergyElement(f - np.dot(net.nu, f) / np.sum(net.nu), True)
 
 
 def energy_inner(net: Network, f, g) -> float:
@@ -98,18 +100,13 @@ def indicator_gram(net: Network, family) -> KernelGram:
     """Gram of indicator functions: G[a, b] = nu(A & B) - W-mass(A x B).
 
     The matrix is PSD; diagonal entries equal the coupling mass between a
-    set and its complement.
+    set and its complement.  Computed from set masses, not from the
+    Laplacian, so it is an independent route to the energy of indicators.
     """
     fam = normalize_family(net, family)
-    nu = net.W.sum(axis=1)
-    m = len(fam)
-    gram = np.zeros((m, m))
-    for a, A in enumerate(fam):
-        for b, B in enumerate(fam[: a + 1]):
-            inter = sorted(set(A) & set(B))
-            val = float(np.sum(nu[inter])) - float(net.W[np.ix_(list(A), list(B))].sum())
-            gram[a, b] = gram[b, a] = val
-    return KernelGram("k_rho", fam, gram)
+    X = incidence(net, fam)
+    gram = (X * net.nu) @ X.T - X @ net.W @ X.T
+    return KernelGram("k_rho", fam, 0.5 * (gram + gram.T))
 
 
 def royden_project(net: Network, f) -> dict:
@@ -120,7 +117,7 @@ def royden_project(net: Network, f) -> dict:
     energy-orthogonal to ``h``.  Both parts are returned canonicalized.
     """
     f = np.asarray(f, dtype=float)
-    nu = net.W.sum(axis=1)
+    nu = net.nu
     h = np.zeros(net.n)
     for comp in components(net):
         idx = list(comp)
@@ -175,10 +172,10 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
         raise DimensionMismatch(f"kind must be 'mu' or 'nu', got {kind!r}")
     A = tuple(sorted(set(int(i) for i in A)))
     B = tuple(sorted(set(int(i) for i in B)))
-    d = derive(net)
     chi = indicator(net, A) - indicator(net, B)
-    weight = net.mu if kind == "mu" else d.nu
+    weight = net.mu if kind == "mu" else net.nu
     b = weight * chi
+    target = chi if kind == "mu" else net.c * chi
     L = laplacian_matrix(net)
 
     if boundary is None:
@@ -193,16 +190,11 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
                 )
         v = _solve_weak_form(L, b)
         elem = canonicalize(net, v)
-        target = chi if kind == "mu" else d.c * chi
         res = np.linalg.norm(apply_Delta(net, elem.values) - target)
         residual = float(res / (1.0 + np.linalg.norm(target)))
         return DipoleSolution(elem, kind, A, B, residual)
 
-    bidx = sorted(set(int(i) for i in boundary))
-    if not bidx:
-        raise DimensionMismatch("boundary must be nonempty")
-    interior = [i for i in range(net.n) if i not in set(bidx)]
-    _check_interior_reaches_boundary(net, interior, bidx)
+    interior = list(boundary_config(net, boundary).interior)
     v = np.zeros(net.n)
     if interior:
         Lii = L[np.ix_(interior, interior)]
@@ -210,29 +202,9 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
             v[interior] = np.linalg.solve(Lii, b[interior])
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(str(exc)) from exc
-    target = chi if kind == "mu" else d.c * chi
     res_vec = (apply_Delta(net, v) - target)[interior]
     residual = float(np.linalg.norm(res_vec) / (1.0 + np.linalg.norm(target)))
     return DipoleSolution(EnergyElement(v, False), kind, A, B, residual)
-
-
-def _check_interior_reaches_boundary(net: Network, interior, bidx):
-    """Every interior state must have a support path to the boundary."""
-    if not interior:
-        return
-    adj = net.support()
-    ok = np.zeros(net.n, dtype=bool)
-    stack = list(bidx)
-    ok[bidx] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(adj[i]):
-            if not ok[j]:
-                ok[j] = True
-                stack.append(int(j))
-    trapped = [i for i in interior if not ok[i]]
-    if trapped:
-        raise TrappedInterior(f"interior states cannot reach boundary: {trapped}")
 
 
 def mu_f(net: Network, f, A) -> float:
@@ -253,12 +225,11 @@ def norm_bounds_report(net: Network, f) -> dict:
     * ``||f - P f||^2_{L2(nu)}  <= 2 * energy``.
     """
     f = np.asarray(f, dtype=float)
-    d = derive(net)
     energy = energy_inner(net, f, f)
     delta = apply_Delta(net, f)
-    half_grad = float(np.sum(d.nu * (delta / d.c) ** 2))
-    delta_c_inv_mu = float(np.sum((net.mu / d.c) * delta**2))
-    defect = float(np.sum(d.nu * (f - apply_P(net, f)) ** 2))
+    half_grad = float(np.sum(net.nu * (delta / net.c) ** 2))
+    delta_c_inv_mu = float(np.sum((net.mu / net.c) * delta**2))
+    defect = float(np.sum(net.nu * (f - apply_P(net, f)) ** 2))
     return {
         "energy": energy,
         "delta_seminorm_nu": half_grad,

@@ -36,6 +36,7 @@ boundary {2}.  Then ``nu = (1, 2, 1)``, ``P_int = [[0, 1], [1/2, 0]]``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +48,13 @@ from .errors import (
     SetMeetsBoundary,
     TrappedInterior,
 )
-from .energy import KernelGram, energy_inner, indicator, indicator_gram, normalize_family
-from .net import Network, derive
-from .operators import harmonic_basis
+from .energy import KernelGram, incidence, indicator_gram, normalize_family
+from .net import BoundaryConfig, Network, boundary_config
+from .operators import harmonic_basis, laplacian_matrix
 
 KERNEL_IDS = ("K", "k_rho", "K_nu", "N_rho")
 RADIUS_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundaryConfig:
-    boundary: tuple
-    interior: tuple
+NEUMANN_MAX_TERMS = 1000000
 
 
 @dataclass(frozen=True)
@@ -68,43 +64,17 @@ class KilledRestriction:
     config: BoundaryConfig
 
 
-def boundary_config(net: Network, boundary) -> BoundaryConfig:
-    """Validate an absorbing boundary; every interior state must reach it."""
-    bidx = sorted(set(int(i) for i in boundary))
-    if not bidx:
-        raise DimensionMismatch("boundary must be nonempty")
-    if bidx[0] < 0 or bidx[-1] >= net.n:
-        raise DimensionMismatch("boundary index out of range")
-    bset = set(bidx)
-    interior = tuple(i for i in range(net.n) if i not in bset)
-    adj = net.support()
-    ok = np.zeros(net.n, dtype=bool)
-    stack = list(bidx)
-    ok[bidx] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(adj[i]):
-            if not ok[j]:
-                ok[j] = True
-                stack.append(int(j))
-    trapped = [i for i in interior if not ok[i]]
-    if trapped:
-        raise TrappedInterior(f"interior states cannot reach boundary: {trapped}")
-    return BoundaryConfig(tuple(bidx), interior)
-
-
 def killed_restriction(net: Network, boundary) -> KilledRestriction:
     """Interior restriction of P and its spectral radius (< 1)."""
     cfg = boundary_config(net, boundary)
-    d = derive(net)
     idx = list(cfg.interior)
-    P_int = d.P[np.ix_(idx, idx)] if idx else np.zeros((0, 0))
+    W_int = net.W[np.ix_(idx, idx)]
+    nu_int = net.nu[idx]
+    P_int = W_int / nu_int[:, None]
+    radius = 0.0
     if idx:
-        s = np.sqrt(d.nu[idx])
-        S = net.W[np.ix_(idx, idx)] / np.outer(s, s)
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(S))))
-    else:
-        radius = 0.0
+        s = np.sqrt(nu_int)
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(W_int / np.outer(s, s)))))
     if radius >= 1.0 - RADIUS_MARGIN:
         raise TrappedInterior(f"killed chain is not transient: radius {radius}")
     return KilledRestriction(P_int, radius, cfg)
@@ -115,7 +85,10 @@ def green_operator(net: Network, boundary, method: str = "solve", tol: float = 1
 
     ``method`` is "solve" (dense factorization) or "neumann" (partial sums
     accumulated until the geometric tail bound drops below ``tol``); both
-    agree entrywise and all entries are nonnegative.
+    agree entrywise and all entries are nonnegative.  The Neumann series
+    raises :class:`TrappedInterior` when the bound ``r^N * r / (1 - r)``
+    needs more than ``NEUMANN_MAX_TERMS`` terms to reach ``tol``, and when
+    the tail bound is still above ``tol`` after that many terms.
     """
     killed = killed_restriction(net, boundary)
     k = killed.P_int.shape[0]
@@ -123,34 +96,27 @@ def green_operator(net: Network, boundary, method: str = "solve", tol: float = 1
         return np.zeros((0, 0))
     if method == "solve":
         return np.linalg.solve(np.eye(k) - killed.P_int, np.eye(k))
-    if method == "neumann":
-        G = np.eye(k)
-        term = np.eye(k)
-        r = killed.spectral_radius
-        for _ in range(1000000):
-            term = term @ killed.P_int
-            G = G + term
-            # tail of the series is bounded by ||term|| * r / (1 - r)
-            if np.max(np.abs(term)) * r / (1.0 - r) < tol:
-                break
-        return G
-    raise DimensionMismatch(f"method must be 'solve' or 'neumann', got {method!r}")
-
-
-def green_indicator(net: Network, boundary, A) -> np.ndarray:
-    """Green function of a set: zero on the boundary, ``G @ chi_A`` inside."""
-    killed = killed_restriction(net, boundary)
-    cfg = killed.config
-    A = sorted(set(int(i) for i in A))
-    if set(A) & set(cfg.boundary):
-        raise SetMeetsBoundary("indicator set must lie inside the interior")
-    out = np.zeros(net.n)
-    if not A:
-        return out
-    idx = list(cfg.interior)
-    chi = np.array([1.0 if i in set(A) else 0.0 for i in idx])
-    out[idx] = np.linalg.solve(np.eye(len(idx)) - killed.P_int, chi)
-    return out
+    if method != "neumann":
+        raise DimensionMismatch(f"method must be 'solve' or 'neumann', got {method!r}")
+    if not tol > 0.0:
+        raise DimensionMismatch("tol must be positive")
+    r = killed.spectral_radius
+    if r > 0.0 and math.log(tol * (1.0 - r) / r) / math.log(r) > NEUMANN_MAX_TERMS:
+        raise TrappedInterior(
+            f"Neumann series needs more than {NEUMANN_MAX_TERMS} terms at radius {r}"
+        )
+    G = np.eye(k)
+    term = np.eye(k)
+    for _ in range(NEUMANN_MAX_TERMS):
+        term = term @ killed.P_int
+        G = G + term
+        # tail of the series is bounded by ||term|| * r / (1 - r)
+        tail = np.max(np.abs(term)) * r / (1.0 - r)
+        if tail < tol:
+            return G
+    raise TrappedInterior(
+        f"Neumann series stopped at {NEUMANN_MAX_TERMS} terms with tail bound {tail:.3e}"
+    )
 
 
 def _interior_family(net: Network, family, cfg: BoundaryConfig) -> tuple:
@@ -160,6 +126,28 @@ def _interior_family(net: Network, family, cfg: BoundaryConfig) -> tuple:
         if set(A) & bset:
             raise SetMeetsBoundary("kernel sets must lie inside the interior")
     return fam
+
+
+def _greens(net: Network, boundary, family):
+    """Green indicators of a family from one killed restriction and one solve.
+
+    Returns the validated family, its incidence matrix ``X``, the Green
+    indicators as the columns of an ``(n, m)`` array (zero on the boundary,
+    ``(I - P_int)^{-1} X^T`` inside) and the killed restriction.
+    """
+    killed = killed_restriction(net, boundary)
+    fam = _interior_family(net, family, killed.config)
+    X = incidence(net, fam)
+    idx = list(killed.config.interior)
+    greens = np.zeros((net.n, len(fam)))
+    greens[idx] = np.linalg.solve(np.eye(len(idx)) - killed.P_int, X[:, idx].T)
+    return fam, X, greens, killed
+
+
+def green_indicator(net: Network, boundary, A) -> np.ndarray:
+    """Green function of a set: zero on the boundary, ``G @ chi_A`` inside."""
+    _, _, greens, _ = _greens(net, boundary, [A])
+    return greens[:, 0]
 
 
 def kernel_gram(net: Network, kernel_id: str, family, boundary=None) -> KernelGram:
@@ -175,39 +163,20 @@ def kernel_gram(net: Network, kernel_id: str, family, boundary=None) -> KernelGr
         return indicator_gram(net, family)
     if kernel_id == "K_nu":
         fam = normalize_family(net, family, allow_empty=True)
-        nu = net.W.sum(axis=1)
-        m = len(fam)
-        gram = np.zeros((m, m))
-        for a, A in enumerate(fam):
-            for b, B in enumerate(fam[: a + 1]):
-                inter = sorted(set(A) & set(B))
-                gram[a, b] = gram[b, a] = float(np.sum(nu[inter]))
-        return KernelGram("K_nu", fam, gram)
+        X = incidence(net, fam)
+        return KernelGram("K_nu", fam, (X * net.nu) @ X.T)
     if boundary is None:
         raise MissingBoundary(f"kernel {kernel_id} requires an absorbing boundary")
-    killed = killed_restriction(net, boundary)
-    cfg = killed.config
-    fam = _interior_family(net, family, cfg)
-    idx = list(cfg.interior)
-    nu_int = derive(net).nu[idx]
-    pos = {state: row for row, state in enumerate(idx)}
-    chis = np.zeros((len(fam), len(idx)))
-    for a, A in enumerate(fam):
-        for i in A:
-            chis[a, pos[i]] = 1.0
+    fam, X, greens, _ = _greens(net, boundary, family)
     if kernel_id == "K":
-        G = np.linalg.solve(np.eye(len(idx)) - killed.P_int, chis.T)  # columns G chi_B
-        gram = (chis * nu_int) @ G
-        gram = 0.5 * (gram + gram.T)
-        return KernelGram("K", fam, gram)
+        gram = (X * net.nu) @ greens
+        return KernelGram("K", fam, 0.5 * (gram + gram.T))
     # N_rho: squared energy distances of Green indicators
-    greens = [green_indicator(net, boundary, A) for A in fam]
-    m = len(fam)
-    gram = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a + 1):
-            diff = greens[a] - greens[b]
-            gram[a, b] = gram[b, a] = energy_inner(net, diff, diff)
+    L = laplacian_matrix(net)
+    gram = np.zeros((len(fam), len(fam)))
+    for a in range(len(fam)):
+        diffs = greens[:, [a]] - greens[:, :a]
+        gram[a, :a] = gram[:a, a] = np.sum(diffs * (L @ diffs), axis=0)
     return KernelGram("N_rho", fam, gram)
 
 
@@ -220,51 +189,32 @@ def isometry_suite(net: Network, boundary, family) -> dict:
     (eigendecomposition of the symmetrized interior operator), together
     with the worst pairwise gap between ``<G_A, G_B>_E`` and ``K(A, B)``.
     """
-    killed = killed_restriction(net, boundary)
-    cfg = killed.config
-    fam = _interior_family(net, family, cfg)
-    idx = list(cfg.interior)
-    d = derive(net)
-    nu_int = d.nu[idx]
-    pos = {state: row for row, state in enumerate(idx)}
-
-    gram = kernel_gram(net, "K", fam, boundary).gram
-    greens = [green_indicator(net, boundary, A) for A in fam]
+    fam, X, greens, killed = _greens(net, boundary, family)
+    gram = (X * net.nu) @ greens
+    gram = 0.5 * (gram + gram.T)
+    energies = greens.T @ laplacian_matrix(net) @ greens
 
     # (I - P_int)^{-1/2} through the nu-symmetrized conjugate.
-    s = np.sqrt(nu_int)
+    idx = list(killed.config.interior)
+    s = np.sqrt(net.nu[idx])
     S = net.W[np.ix_(idx, idx)] / np.outer(s, s)
     evals, evecs = np.linalg.eigh(np.eye(len(idx)) - S)
     inv_sqrt_sym = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+    half = inv_sqrt_sym @ (s[:, None] * X[:, idx].T)  # columns D^{1/2} (I-P)^{-1/2} chi_A
 
-    rows = []
-    for a, A in enumerate(fam):
-        chi = np.zeros(len(idx))
-        for i in A:
-            chi[pos[i]] = 1.0
-        half = inv_sqrt_sym @ (s * chi)  # D^{1/2} (I-P)^{-1/2} chi
-        rows.append(
-            {
-                "set": A,
-                "kernel_diag": float(gram[a, a]),
-                "green_energy": energy_inner(net, greens[a], greens[a]),
-                "l2_half_power": float(half @ half),
-            }
-        )
-    worst_pair = 0.0
-    for a in range(len(fam)):
-        for b in range(len(fam)):
-            inner = energy_inner(net, greens[a], greens[b])
-            scale = max(1.0, abs(gram[a, b]))
-            worst_pair = max(worst_pair, abs(inner - gram[a, b]) / scale)
-    worst_norm = 0.0
-    for r in rows:
-        scale = max(1.0, abs(r["kernel_diag"]))
-        spread = max(r["kernel_diag"], r["green_energy"], r["l2_half_power"]) - min(
-            r["kernel_diag"], r["green_energy"], r["l2_half_power"]
-        )
-        worst_norm = max(worst_norm, spread / scale)
-    return {"per_set": rows, "max_norm_spread": worst_norm, "max_pair_gap": worst_pair}
+    three = np.array([np.diag(gram), np.diag(energies), np.sum(half * half, axis=0)])
+    rows = [
+        {"set": A, "kernel_diag": float(k), "green_energy": float(e), "l2_half_power": float(h)}
+        for A, (k, e, h) in zip(fam, three.T)
+    ]
+    scale = np.maximum(1.0, np.abs(three[0]))
+    spread = (np.max(three, axis=0) - np.min(three, axis=0)) / scale
+    pair_gap = np.abs(energies - gram) / np.maximum(1.0, np.abs(gram))
+    return {
+        "per_set": rows,
+        "max_norm_spread": float(np.max(spread, initial=0.0)),
+        "max_pair_gap": float(np.max(pair_gap, initial=0.0)),
+    }
 
 
 def mu_f_rkhs_norm(net: Network, f, family=None) -> float:
@@ -282,23 +232,15 @@ def mu_f_rkhs_norm(net: Network, f, family=None) -> float:
     if family is None:
         family = [[i] for i in range(net.n)]
     fam = normalize_family(net, family)
+    X = incidence(net, fam)
     # Span membership is decided directly in vector space, independently of
     # the Gram route being verified.
-    cols = [indicator(net, A) for A in fam]
-    cols.append(np.ones(net.n))
-    for h in harmonic_basis(net):
-        cols.append(h)
-    M = np.array(cols).T
+    M = np.vstack([X, np.ones(net.n), harmonic_basis(net)]).T
     coef, *_ = np.linalg.lstsq(M, f, rcond=None)
     defect = float(np.linalg.norm(f - M @ coef))
     if defect > 1e-8 * (1.0 + float(np.linalg.norm(f))):
         raise FamilyTooSmall("f is outside the indicator span of the family")
     gram = indicator_gram(net, fam).gram
-    m_vec = np.array([mu_f_value(net, f, A) for A in fam])
+    m_vec = X @ (laplacian_matrix(net) @ f)  # mu_f(A) = <chi_A, f>_E for every A
     coeffs = np.linalg.pinv(gram, rcond=1e-12) @ m_vec
     return float(np.sqrt(max(float(coeffs @ gram @ coeffs), 0.0)))
-
-
-def mu_f_value(net: Network, f, A) -> float:
-    """Energy pairing of ``f`` with one indicator (the induced set function)."""
-    return energy_inner(net, indicator(net, A), f)

@@ -9,12 +9,15 @@ that the conductance ``c = row_sum(W) / mu`` is finite and positive.
 Derived objects: conductance ``c``, stationary measure ``nu = c * mu``
 (equal to the row sums of ``W``), the row-stochastic transition matrix
 ``P[i, j] = W[i, j] / nu[i]``, and the conditional rows
-``rho_x[i, j] = W[i, j] / mu[i]``.
+``rho_x[i, j] = W[i, j] / mu[i]``.  ``nu``, ``c`` and ``P`` are computed
+once per network, on first use, and cached on it; the support graph is
+walked only by :func:`reachable`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,10 +28,11 @@ from .errors import (
     EmptyTargetSet,
     NonpositiveMass,
     NonpositiveWeight,
+    TrappedInterior,
     ZeroConductance,
 )
 
-SYMMETRY_ATOL = 1e-12
+SYMMETRY_RTOL = 1e-12
 COMMUTE_RTOL = 1e-10
 
 
@@ -63,11 +67,31 @@ class Network:
     def n(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def nu(self) -> np.ndarray:
+        """Stationary weights: the row sums of ``W``."""
+        return _readonly(self.W.sum(axis=1))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """Conductance ``nu / mu``."""
+        return _readonly(self.nu / self.mu)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Transition matrix ``W / nu``; the one n x n array a network caches."""
+        return _readonly(self.W / self.nu[:, None])
+
+    @cached_property
+    def _positions(self) -> dict:
+        # first state wins when two identifiers share a string form
+        return {str(s): i for i, s in reversed(list(enumerate(self.states)))}
+
     def index(self, state) -> int:
-        """Index of a state identifier."""
+        """Index of a state, matched by its string form (CLI tokens and file ids)."""
         try:
-            return self.states.index(state)
-        except ValueError:
+            return self._positions[str(state)]
+        except KeyError:
             raise DimensionMismatch(f"unknown state {state!r}") from None
 
     def support(self) -> np.ndarray:
@@ -77,12 +101,35 @@ class Network:
 
 @dataclass(frozen=True)
 class DerivedMeasures:
-    """Conductance, stationary measure, transition matrix and conditional rows."""
+    """Conductance, stationary measure, transition matrix and conditional rows.
 
-    c: np.ndarray
-    nu: np.ndarray
-    P: np.ndarray
-    rho_x: np.ndarray
+    ``c``, ``nu`` and ``P`` are the network's cached arrays; ``rho_x`` is
+    built on each access.
+    """
+
+    net: Network
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.net.c
+
+    @property
+    def nu(self) -> np.ndarray:
+        return self.net.nu
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.net.P
+
+    @property
+    def rho_x(self) -> np.ndarray:
+        return _readonly(self.net.W / self.net.mu[:, None])
+
+
+@dataclass(frozen=True)
+class BoundaryConfig:
+    boundary: tuple
+    interior: tuple
 
 
 @dataclass(frozen=True)
@@ -109,9 +156,10 @@ def _check_vector(x, n, name) -> np.ndarray:
 def build_network(states: Sequence, mu, W, boundary=None) -> Network:
     """Validate inputs and build a :class:`Network`.
 
-    Symmetry of ``W`` is checked to absolute tolerance 1e-12 and then the
-    matrix is stored as the exact average ``(W + W.T) / 2`` so downstream
-    identities see exact detailed balance.
+    Symmetry of ``W`` is checked to tolerance 1e-12 relative to ``max |W|``,
+    so round-off passes at every scale, and then the matrix is stored as the
+    exact average ``(W + W.T) / 2`` so downstream identities see exact
+    detailed balance.
 
     Raises
     ------
@@ -136,8 +184,8 @@ def build_network(states: Sequence, mu, W, boundary=None) -> Network:
         raise DimensionMismatch("W contains non-finite entries")
     if np.any(W < 0.0):
         raise DimensionMismatch("W contains negative entries")
-    gap = np.max(np.abs(W - W.T)) if n else 0.0
-    if gap > SYMMETRY_ATOL:
+    gap = np.max(np.abs(W - W.T))
+    if gap > SYMMETRY_RTOL * np.max(W):
         raise AsymmetricCoupling(f"W deviates from its transpose by {gap:.3e}")
     if np.any(mu <= 0.0):
         raise NonpositiveMass("all mu atoms must be strictly positive")
@@ -173,11 +221,7 @@ def symmetrize(W_raw, mu, states=None) -> Network:
 
 def derive(net: Network) -> DerivedMeasures:
     """Conductance, stationary measure, transition matrix, conditional rows."""
-    nu = net.W.sum(axis=1)
-    c = nu / net.mu
-    P = net.W / nu[:, None]
-    rho_x = net.W / net.mu[:, None]
-    return DerivedMeasures(_readonly(c), _readonly(nu), _readonly(P), _readonly(rho_x))
+    return DerivedMeasures(net)
 
 
 def reweight(net: Network, p) -> ReweightResult:
@@ -199,27 +243,42 @@ def reweight(net: Network, p) -> ReweightResult:
     return ReweightResult(net2, commutes)
 
 
+def reachable(net: Network, sources) -> np.ndarray:
+    """Boolean mask of the states joined to ``sources`` by a support path."""
+    seen = np.zeros(net.n, dtype=bool)
+    seen[list(sources)] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = np.any(net.W[frontier] > 0.0, axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
 def components(net: Network) -> list:
     """Connected components of the coupling support, ordered by smallest member."""
-    adj = net.support()
     seen = np.zeros(net.n, dtype=bool)
     out = []
     for start in range(net.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.flatnonzero(adj[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        out.append(tuple(sorted(comp)))
-    out.sort(key=lambda comp: comp[0])
+        if not seen[start]:
+            comp = reachable(net, [start])
+            seen |= comp
+            out.append(tuple(np.flatnonzero(comp).tolist()))
     return out
+
+
+def boundary_config(net: Network, boundary) -> BoundaryConfig:
+    """Validate an absorbing boundary; every interior state must reach it."""
+    bidx = sorted(set(int(i) for i in boundary))
+    if not bidx:
+        raise DimensionMismatch("boundary must be nonempty")
+    if bidx[0] < 0 or bidx[-1] >= net.n:
+        raise DimensionMismatch("boundary index out of range")
+    trapped = np.flatnonzero(~reachable(net, bidx)).tolist()
+    if trapped:
+        raise TrappedInterior(f"interior states cannot reach boundary: {trapped}")
+    interior = np.ones(net.n, dtype=bool)
+    interior[bidx] = False
+    return BoundaryConfig(tuple(bidx), tuple(np.flatnonzero(interior).tolist()))
 
 
 def irreducibility(net: Network) -> Irreducibility:
@@ -245,13 +304,11 @@ def attainability(net: Network, x: int, A) -> Optional[int]:
         raise EmptyTargetSet("target set is empty")
     if not (0 <= x < net.n) or A[0] < 0 or A[-1] >= net.n:
         raise DimensionMismatch("state index out of range")
+    if not reachable(net, [x])[A].any():
+        return None
     adj = net.support().astype(np.int64)
     target = np.zeros(net.n, dtype=bool)
     target[A] = True
-    # Unreachable iff A misses the component of x.
-    comp = next(c for c in components(net) if x in c)
-    if not any(a in comp for a in A):
-        return None
     reach = np.zeros(net.n, dtype=np.int64)
     reach[x] = 1
     for n in range(1, 2 * net.n + 1):

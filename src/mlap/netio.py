@@ -113,11 +113,14 @@ def _load_csv(path: str) -> Network:
 
 def network_document(net: Network) -> dict:
     """Canonical JSON document of a network (upper-triangle edge list)."""
-    edges = []
-    for a in range(net.n):
-        for b in range(a, net.n):
-            if net.W[a, b] > 0.0:
-                edges.append({"i": str(net.states[a]), "j": str(net.states[b]), "w": float(net.W[a, b])})
+    ids = [str(s) for s in net.states]
+    rows, cols = np.nonzero(net.W)  # row-major, as the document lists edges
+    w = net.W[rows, cols]
+    upper = (rows <= cols) & (w > 0.0)
+    edges = [
+        {"i": ids[a], "j": ids[b], "w": x}
+        for a, b, x in zip(rows[upper].tolist(), cols[upper].tolist(), w[upper].tolist())
+    ]
     doc = {
         "schema": SCHEMA,
         "states": [{"id": str(s), "mu": float(m)} for s, m in zip(net.states, net.mu)],

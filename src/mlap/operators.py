@@ -40,13 +40,12 @@ def _vec(net: Network, f, name="f") -> np.ndarray:
 
 def laplacian_matrix(net: Network) -> np.ndarray:
     """Weak-form Laplacian ``D_W - W`` (symmetric PSD)."""
-    return np.diag(net.W.sum(axis=1)) - net.W
+    return np.diag(net.nu) - net.W
 
 
 def operator_bundle(net: Network) -> OperatorBundle:
-    d = derive(net)
-    delta = d.c[:, None] * (np.eye(net.n) - d.P)
-    return OperatorBundle(d.rho_x, d.P, delta)
+    delta = net.c[:, None] * (np.eye(net.n) - net.P)
+    return OperatorBundle(derive(net).rho_x, net.P, delta)
 
 
 def apply_R(net: Network, f) -> np.ndarray:
@@ -58,24 +57,22 @@ def apply_R(net: Network, f) -> np.ndarray:
 def apply_P(net: Network, f) -> np.ndarray:
     """Markov action (P f)_i = sum_j P[i, j] f_j; fixes constants."""
     f = _vec(net, f)
-    return net.W @ f / net.W.sum(axis=1)
+    return net.W @ f / net.nu
 
 
 def apply_Delta(net: Network, f) -> np.ndarray:
     """Laplacian action Delta f = c * f - R f."""
     f = _vec(net, f)
-    d = derive(net)
-    return d.c * f - net.W @ f / net.mu
+    return net.c * f - net.W @ f / net.mu
 
 
 def markov_power(net: Network, n: int) -> np.ndarray:
     """n-step transition matrix by repeated multiplication; P_0 = I."""
     if n < 0:
         raise NegativePower("power index must be >= 0")
-    P = derive(net).P
     out = np.eye(net.n)
     for _ in range(n):
-        out = out @ P
+        out = out @ net.P
     return out
 
 
@@ -83,14 +80,13 @@ def rho_n(net: Network, A, B, n: int) -> float:
     """n-step pair mass sum_{i in A} nu_i (P^n chi_B)_i; rho_0 = nu(A & B)."""
     if n < 0:
         raise NegativePower("power index must be >= 0")
-    d = derive(net)
     chi_B = np.zeros(net.n)
     chi_B[list(B)] = 1.0
     v = chi_B
     for _ in range(n):
-        v = d.P @ v
+        v = net.P @ v
     A = list(A)
-    return float(np.sum(d.nu[A] * v[A]))
+    return float(np.sum(net.nu[A] * v[A]))
 
 
 def spectrum_P(net: Network) -> np.ndarray:
@@ -101,8 +97,7 @@ def spectrum_P(net: Network) -> np.ndarray:
     contained in [-1, 1]; eigenvalue 1 has multiplicity equal to the number
     of support components.
     """
-    nu = net.W.sum(axis=1)
-    s = np.sqrt(nu)
+    s = np.sqrt(net.nu)
     S = net.W / np.outer(s, s)
     return np.sort(np.linalg.eigvalsh(S))
 
@@ -115,7 +110,7 @@ def harmonic_basis(net: Network) -> np.ndarray:
     ``#components - 1`` vectors, each with zero nu-mean.  Returns an array of
     shape ``(k, n)``; empty when the network is irreducible.
     """
-    nu = net.W.sum(axis=1)
+    nu = net.nu
     comps = components(net)
     k = len(comps) - 1
     if k == 0:
@@ -141,10 +136,8 @@ def iota_adjoint_residual(net: Network, f, g) -> float:
     """
     f = _vec(net, f)
     g = _vec(net, g, "g")
-    d = derive(net)
-    L = np.diag(d.nu) - net.W
-    lhs = float(f @ L @ g)
-    rhs = float(np.sum(d.nu * f * (g - d.P @ g)))
+    lhs = float(f @ laplacian_matrix(net) @ g)
+    rhs = float(np.sum(net.nu * f * (g - net.P @ g)))
     scale = 1.0 + float(np.linalg.norm(f) * np.linalg.norm(g))
     return abs(lhs - rhs) / scale
 
@@ -156,11 +149,10 @@ def mass_transport_check(net: Network, f, A) -> tuple:
     the coupling operator preserves its mu-mass because nu is stationary.
     """
     f = _vec(net, f)
-    d = derive(net)
     chi = np.zeros(net.n)
     chi[list(A)] = 1.0
     lhs = float(np.sum(net.mu * chi * f))
-    rhs = float(np.sum(net.mu * apply_R(net, chi * f / d.c)))
+    rhs = float(np.sum(net.mu * apply_R(net, chi * f / net.c)))
     return lhs, rhs
 
 

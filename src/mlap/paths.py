@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import incidence
 from .errors import DimensionMismatch, NegativePower
-from .net import Network, derive
+from .net import Network
 from .operators import apply_P
 
 
@@ -44,15 +45,18 @@ def _parse_start_law(net: Network, start_law: str) -> int | None:
     if start_law == "nu":
         return None
     if start_law.startswith("state:"):
-        return net.index(_coerce_state(net, start_law[len("state:"):]))
+        return net.index(start_law[len("state:"):])
     raise DimensionMismatch(f"start_law must be 'nu' or 'state:<id>', got {start_law!r}")
 
 
-def _coerce_state(net: Network, token: str):
-    for s in net.states:
-        if str(s) == token:
-            return s
-    raise DimensionMismatch(f"unknown state {token!r}")
+def _step(cum_rows, last, current, u) -> np.ndarray:
+    """Inverse-CDF draw of the next states from the rows of ``current``.
+
+    A draw at or above a row's rounded total would land past the row's
+    support; it takes the row's last positive column ``last[current]``.
+    """
+    nxt = np.sum(u[:, None] >= cum_rows[current], axis=1)
+    return np.minimum(nxt, last[current])
 
 
 def sample_paths(net: Network, seed: int, m: int, count: int, start_law: str = "nu") -> PathBatch:
@@ -65,24 +69,34 @@ def sample_paths(net: Network, seed: int, m: int, count: int, start_law: str = "
     """
     if m < 1 or count < 1:
         raise DimensionMismatch("need m >= 1 and count >= 1")
-    d = derive(net)
     fixed = _parse_start_law(net, start_law)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     u = rng.random((count, m + 1))
-    cum_rows = np.cumsum(d.P, axis=1)
+    cum_rows = np.cumsum(net.P, axis=1)
+    last = net.n - 1 - np.argmax(net.P[:, ::-1] > 0.0, axis=1)
     paths = np.empty((count, m + 1), dtype=np.int64)
     if fixed is None:
-        cum_nu = np.cumsum(d.nu) / np.sum(d.nu)
+        cum_nu = np.cumsum(net.nu) / np.sum(net.nu)
         paths[:, 0] = np.minimum(
             np.searchsorted(cum_nu, u[:, 0], side="right"), net.n - 1
         )
     else:
         paths[:, 0] = fixed
     for t in range(m):
-        rows = cum_rows[paths[:, t]]
-        nxt = np.sum(u[:, t + 1, None] >= rows, axis=1)
-        paths[:, t + 1] = np.minimum(nxt, net.n - 1)
+        paths[:, t + 1] = _step(cum_rows, last, paths[:, t], u[:, t + 1])
     return PathBatch(int(seed), int(m), int(count), start_law, paths)
+
+
+def transition_counts(net: Network, batch: PathBatch) -> tuple:
+    """Observed moves of a batch over all its steps.
+
+    Returns ``(counts, visits)``: ``counts[i, j]`` is the number of steps
+    from ``i`` to ``j`` and ``visits[i]`` the number of steps leaving ``i``.
+    """
+    src = batch.paths[:, :-1].ravel()
+    moves = np.bincount(src * net.n + batch.paths[:, 1:].ravel(), minlength=net.n * net.n)
+    visits = np.bincount(src, minlength=net.n)
+    return moves.reshape(net.n, net.n).astype(float), visits.astype(float)
 
 
 def cylinder_mass(net: Network, sets) -> float:
@@ -90,15 +104,10 @@ def cylinder_mass(net: Network, sets) -> float:
     sets = list(sets)
     if not sets:
         raise DimensionMismatch("need at least one cylinder set")
-    d = derive(net)
-    masks = []
-    for A in sets:
-        chi = np.zeros(net.n)
-        chi[list(A)] = 1.0
-        masks.append(chi)
-    v = d.nu * masks[0]
+    masks = incidence(net, sets)
+    v = net.nu * masks[0]
     for chi in masks[1:]:
-        v = (v @ d.P) * chi
+        v = (v @ net.P) * chi
     return float(np.sum(v))
 
 
@@ -116,11 +125,10 @@ def dissipation_norm(net: Network, f) -> dict:
     f = np.asarray(f, dtype=float)
     if f.shape != (net.n,):
         raise DimensionMismatch("f must be a length-n vector")
-    d = derive(net)
     pf = apply_P(net, f)
     var = apply_P(net, f * f) - pf * pf
-    variance_term = float(np.sum(d.nu * var))
-    dissipation_term = float(np.sum(d.nu * (f - pf) ** 2))
+    variance_term = float(np.sum(net.nu * var))
+    dissipation_term = float(np.sum(net.nu * (f - pf) ** 2))
     return {
         "variance_term": variance_term,
         "dissipation_term": dissipation_term,
@@ -151,10 +159,9 @@ def mc_energy_estimate(net: Network, f, seed: int, count: int) -> McEstimate:
 
 def _distribution_after(net: Network, n: int) -> np.ndarray:
     """Row vector nu P^n computed by explicit multiplication."""
-    d = derive(net)
-    m = d.nu.copy()
+    m = net.nu.copy()
     for _ in range(n):
-        m = m @ d.P
+        m = m @ net.P
     return m
 
 
@@ -172,11 +179,10 @@ def orthogonality_residual(net: Network, g1, g2, n: int) -> float:
     g2 = np.asarray(g2, dtype=float)
     if g1.shape != (net.n,) or g2.shape != (net.n,):
         raise DimensionMismatch("g1 and g2 must be length-n vectors")
-    d = derive(net)
     m = _distribution_after(net, n)
     pg2 = apply_P(net, g2)
     same_time = float(np.sum(m * g1 * pg2))
-    joint = (m * g1) @ d.P @ g2
+    joint = (m * g1) @ net.P @ g2
     scale = 1.0 + abs(same_time) + abs(joint)
     return 0.5 * abs(same_time - float(joint)) / scale
 
@@ -199,10 +205,9 @@ def variance_invariance(net: Network, f, n: int) -> tuple:
     f = np.asarray(f, dtype=float)
     if f.shape != (net.n,):
         raise DimensionMismatch("f must be a length-n vector")
-    d = derive(net)
     pf = apply_P(net, f)
     var1 = apply_P(net, f * f) - pf * pf
-    first = float(np.sum(d.nu * var1))
+    first = float(np.sum(net.nu * var1))
     m = _distribution_after(net, n - 1)
     nth = float(np.sum(m * var1))
     return first, nth

@@ -19,10 +19,13 @@ from . import green as gr
 from . import learn as ln
 from . import operators as op
 from . import paths as pa
-from .net import Network, components, derive
+from .net import Network, build_network, components, symmetrize
 from .netio import network_checksum
 
 SUITE_IDS = ("core", "operators", "energy", "dissipation", "green", "rkhs", "learn", "all")
+# A correct sampler fails ``empirical-transitions`` with probability at most
+# this much per run.
+TRANSITION_FALSE_ALARM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,14 @@ def _all_subsets(n):
 
 
 def _suite_core(net: Network, rng, tol, rep: Report) -> None:
-    d = derive(net)
+    nu, P = net.nu, net.P
     rep.check("coupling-symmetry", float(np.max(np.abs(net.W - net.W.T))), 1e-15)
-    rep.check("row-mass-positive", float(max(0.0, -np.min(d.nu))), 0.0)
-    rep.check("stationary-equals-row-sums", float(np.max(np.abs(d.nu - net.W.sum(1)))), 1e-15)
-    rep.check("markov-row-sums", float(np.max(np.abs(d.P.sum(1) - 1.0))), 1e-12)
-    db = np.max(np.abs(d.nu[:, None] * d.P - (d.nu[:, None] * d.P).T))
+    rep.check("row-mass-positive", float(max(0.0, -np.min(nu))), 0.0)
+    rep.check("stationary-equals-row-sums", float(np.max(np.abs(nu - net.W.sum(1)))), 1e-15)
+    rep.check("markov-row-sums", float(np.max(np.abs(P.sum(1) - 1.0))), 1e-12)
+    db = np.max(np.abs(nu[:, None] * P - (nu[:, None] * P).T))
     rep.check("detailed-balance", float(db), 1e-12 * max(1.0, float(np.max(net.W))))
-    rep.check("stationarity", float(np.max(np.abs(d.nu @ d.P - d.nu))), 1e-12 * max(1.0, float(np.max(d.nu))))
+    rep.check("stationarity", float(np.max(np.abs(nu @ P - nu))), 1e-12 * max(1.0, float(np.max(nu))))
     worst = 0.0
     for n_pow in range(7):
         for _ in range(4):
@@ -111,20 +114,17 @@ def _suite_core(net: Network, rng, tol, rep: Report) -> None:
             worst = max(worst, _rel(op.rho_n(net, A, B, n_pow), op.rho_n(net, B, A, n_pow)))
     rep.check("pair-mass-symmetry-n<=6", worst, 1e-10)
     # symmetrization is idempotent and preserves total mass
-    from .net import symmetrize
-
     again = symmetrize(net.W, net.mu, net.states)
     rep.check("symmetrize-idempotent", float(np.max(np.abs(again.W - net.W))), 0.0)
     rep.check("symmetrize-mass", _rel(float(again.W.sum()), float(net.W.sum())), 1e-15)
 
 
 def _suite_operators(net: Network, rng, tol, rep: Report) -> None:
-    d = derive(net)
     ones = np.ones(net.n)
-    rep.check("coupling-op-of-ones", float(np.max(np.abs(op.apply_R(net, ones) - d.c))), 1e-12 * max(1.0, float(np.max(d.c))))
+    rep.check("coupling-op-of-ones", float(np.max(np.abs(op.apply_R(net, ones) - net.c))), 1e-12 * max(1.0, float(np.max(net.c))))
     rep.check("markov-fixes-constants", float(np.max(np.abs(op.apply_P(net, ones) - 1.0))), 1e-12)
-    rep.check("laplacian-kills-constants", float(np.max(np.abs(op.apply_Delta(net, ones)))), 1e-12 * max(1.0, float(np.max(d.c))))
-    L = np.diag(net.mu) @ (d.c[:, None] * (np.eye(net.n) - d.P))
+    rep.check("laplacian-kills-constants", float(np.max(np.abs(op.apply_Delta(net, ones)))), 1e-12 * max(1.0, float(np.max(net.c))))
+    L = np.diag(net.mu) @ (net.c[:, None] * (np.eye(net.n) - net.P))
     rep.check("weak-form-symmetric", float(np.max(np.abs(L - L.T))), 1e-12 * max(1.0, float(np.max(np.abs(L)))))
     worst_pair = worst_mean = worst_contr = worst_l1 = worst_rmass = 0.0
     worst_iota = worst_j = worst_mass = worst_iota_bound = 0.0
@@ -134,13 +134,13 @@ def _suite_operators(net: Network, rng, tol, rep: Report) -> None:
         pair = np.sum(net.mu * g * op.apply_R(net, f)) - np.sum(net.mu * op.apply_R(net, g) * f)
         worst_pair = max(worst_pair, abs(pair) / (1e-300 + np.linalg.norm(f) * np.linalg.norm(g)))
         worst_mean = max(worst_mean, abs(float(np.sum(net.mu * op.apply_Delta(net, f)))) / (1.0 + np.linalg.norm(f)))
-        nf = float(np.sum(d.nu * f * f))
-        npf = float(np.sum(d.nu * op.apply_P(net, f) ** 2))
+        nf = float(np.sum(net.nu * f * f))
+        npf = float(np.sum(net.nu * op.apply_P(net, f) ** 2))
         worst_contr = max(worst_contr, max(0.0, npf - nf) / max(nf, 1e-300))
-        l1f = float(np.sum(d.nu * np.abs(f)))
-        worst_l1 = max(worst_l1, max(0.0, float(np.sum(d.nu * np.abs(op.apply_P(net, f)))) - l1f) / max(l1f, 1e-300))
+        l1f = float(np.sum(net.nu * np.abs(f)))
+        worst_l1 = max(worst_l1, max(0.0, float(np.sum(net.nu * np.abs(op.apply_P(net, f)))) - l1f) / max(l1f, 1e-300))
         worst_l1 = max(worst_l1, max(0.0, float(np.sum(net.mu * np.abs(op.apply_R(net, f)))) - l1f) / max(l1f, 1e-300))
-        worst_rmass = max(worst_rmass, _rel(float(np.sum(net.mu * op.apply_R(net, f))), float(np.sum(f * d.nu))))
+        worst_rmass = max(worst_rmass, _rel(float(np.sum(net.mu * op.apply_R(net, f))), float(np.sum(f * net.nu))))
         worst_iota = max(worst_iota, op.iota_adjoint_residual(net, f, g))
         bound = 2.0 * nf - en.energy_inner(net, f, f)
         worst_iota_bound = max(worst_iota_bound, max(0.0, -bound) / max(nf, 1.0))
@@ -148,7 +148,7 @@ def _suite_operators(net: Network, rng, tol, rep: Report) -> None:
         lhs, rhs = op.mass_transport_check(net, f, _random_subset(rng, net.n))
         worst_mass = max(worst_mass, _rel(lhs, rhs))
     rep.check("coupling-op-symmetric-pairing", worst_pair, 1e-12)
-    rep.check("laplacian-mu-mean-zero", worst_mean, 1e-12 * max(1.0, float(np.max(d.c))))
+    rep.check("laplacian-mu-mean-zero", worst_mean, 1e-12 * max(1.0, float(np.max(net.c))))
     rep.check("markov-l2-contraction", worst_contr, 1e-12)
     rep.check("markov-l1-contraction", worst_l1, 1e-12)
     rep.check("coupling-op-mass", worst_rmass, 1e-12)
@@ -166,26 +166,24 @@ def _suite_operators(net: Network, rng, tol, rep: Report) -> None:
     worst_h = 0.0
     for h in basis:
         worst_h = max(worst_h, float(np.max(np.abs(op.apply_Delta(net, h)))))
-    rep.check("harmonic-basis-in-kernel", worst_h, 1e-12 * max(1.0, float(np.max(d.c))))
+    rep.check("harmonic-basis-in-kernel", worst_h, 1e-12 * max(1.0, float(np.max(net.c))))
     if len(basis):
-        gram = (basis * d.nu) @ basis.T
+        gram = (basis * net.nu) @ basis.T
         rep.check("harmonic-basis-orthonormal", float(np.max(np.abs(gram - np.eye(len(basis))))), 1e-12)
 
 
 def _suite_energy(net: Network, rng, tol, rep: Report) -> None:
-    d = derive(net)
-    nu = d.nu
+    nu = net.nu
     subsets = _all_subsets(net.n) if net.n <= 6 else [_random_subset(rng, net.n) for _ in range(12)]
     worst_diag = worst_pair = 0.0
     for A in subsets:
         chi_A = en.indicator(net, A)
-        comp = [i for i in range(net.n) if i not in set(A)]
-        cross = float(net.W[np.ix_(A, comp)].sum()) if comp else 0.0
+        cross = float(chi_A @ net.W @ (1.0 - chi_A))
         worst_diag = max(worst_diag, _rel(en.energy_inner(net, chi_A, chi_A), cross))
         B = subsets[rng.integers(len(subsets))]
         chi_B = en.indicator(net, B)
         inter = sorted(set(A) & set(B))
-        expect = float(np.sum(nu[inter])) - float(net.W[np.ix_(A, list(B))].sum())
+        expect = float(np.sum(nu[inter])) - float(chi_A @ net.W @ chi_B)
         worst_pair = max(worst_pair, _rel(en.energy_inner(net, chi_A, chi_B), expect))
     rep.check("indicator-norm-is-boundary-mass", worst_diag, 1e-12)
     rep.check("indicator-inner-product", worst_pair, 1e-12)
@@ -254,7 +252,6 @@ def _suite_dissipation(net: Network, rng, tol, rep: Report) -> None:
         first, nth = pa.variance_invariance(net, f, n_step)
         worst_var = max(worst_var, _rel(first, nth))
     rep.check("conditional-variance-stationarity", worst_var, 1e-10)
-    d = derive(net)
     worst_cyl = worst_sym = worst_pn = worst_kl = 0.0
     full = list(range(net.n))
     for n_step in range(5):
@@ -266,17 +263,17 @@ def _suite_dissipation(net: Network, rng, tol, rep: Report) -> None:
         chi_A = en.indicator(net, A)
         v = chi_A.copy()
         for _ in range(n_step):
-            v = d.P @ v
-        worst_pn = max(worst_pn, _rel(float(np.sum(d.nu * v * v)), op.rho_n(net, A, A, 2 * n_step)))
+            v = net.P @ v
+        worst_pn = max(worst_pn, _rel(float(np.sum(net.nu * v * v)), op.rho_n(net, A, A, 2 * n_step)))
     for k in range(4):
         for l in range(4):
             A = _random_subset(rng, net.n)
             pk = en.indicator(net, A)
             for _ in range(k):
-                pk = d.P @ pk
+                pk = net.P @ pk
             pl = en.indicator(net, A)
             for _ in range(l):
-                pl = d.P @ pl
+                pl = net.P @ pl
             worst_kl = max(
                 worst_kl,
                 _rel(en.energy_inner(net, pk, pl), op.rho_n(net, A, A, k + l) - op.rho_n(net, A, A, k + l + 1)),
@@ -295,13 +292,28 @@ def _suite_dissipation(net: Network, rng, tol, rep: Report) -> None:
         worst_mc = max(worst_mc, gap - allowed)
     rep.check("monte-carlo-energy", max(0.0, worst_mc), 0.0)
     batch = pa.sample_paths(net, int(rng.integers(2**31)), 1, 20000, "nu")
-    counts = np.zeros((net.n, net.n))
-    np.add.at(counts, (batch.paths[:, 0], batch.paths[:, 1]), 1.0)
-    rows = counts.sum(axis=1, keepdims=True)
-    emp = np.divide(counts, rows, out=np.zeros_like(counts), where=rows > 0)
-    visited = rows[:, 0] > 50
-    gap = float(np.max(np.abs(emp[visited] - d.P[visited]))) if visited.any() else 0.0
-    rep.check("empirical-transitions", gap, 0.05)
+    rep.check("empirical-transitions", _transition_excess(net.P, *pa.transition_counts(net, batch)), 0.0)
+
+
+def _transition_excess(P, counts, visits) -> float:
+    """Largest excess of an observed transition count over its binomial bound.
+
+    Given ``visits[i]`` departures from state ``i``, the count of moves
+    ``i -> j`` is Binomial(visits[i], P[i, j]).  Bernstein's inequality
+    bounds ``|count - visits[i] P[i, j]|`` by ``t = L/3 + sqrt((L/3)^2 +
+    2 var L)`` (var the binomial variance) except with probability
+    ``2 exp(-L)``; ``L`` is Bonferroni-corrected over the in-support entries
+    of visited rows so that the whole check has false-alarm rate at most
+    ``TRANSITION_FALSE_ALARM``.  A move outside the support of ``P`` has
+    bound 0, so a single one fails the check.
+    """
+    expect = visits[:, None] * P
+    in_support = P > 0.0
+    tested = int(np.count_nonzero(in_support & (visits[:, None] > 0)))
+    L = np.log(2.0 * max(tested, 1) / TRANSITION_FALSE_ALARM)
+    bound = L / 3.0 + np.sqrt((L / 3.0) ** 2 + 2.0 * expect * (1.0 - P) * L)
+    bound = np.where(in_support, bound, 0.0)
+    return float(max(0.0, np.max(np.abs(counts - expect) - bound)))
 
 
 def _suite_green(net: Network, rng, tol, rep: Report) -> None:
@@ -315,7 +327,6 @@ def _suite_green(net: Network, rng, tol, rep: Report) -> None:
     neg = float(max(0.0, -np.min(G))) if G.size else 0.0
     rep.check("green-nonnegative", neg, 1e-12)
     interior = list(killed.config.interior)
-    d = derive(net)
     worst_delta = worst_rep = 0.0
     if interior:
         for _ in range(5):
@@ -323,11 +334,11 @@ def _suite_green(net: Network, rng, tol, rep: Report) -> None:
             A = [interior[k] for k in np.flatnonzero(take)] or [interior[0]]
             gA = gr.green_indicator(net, bnd, A)
             chi = en.indicator(net, A)
-            resid = (op.apply_Delta(net, gA) - d.c * chi)[interior]
-            worst_delta = max(worst_delta, float(np.max(np.abs(resid))) / max(1.0, float(np.max(d.c))))
+            resid = (op.apply_Delta(net, gA) - net.c * chi)[interior]
+            worst_delta = max(worst_delta, float(np.max(np.abs(resid))) / max(1.0, float(np.max(net.c))))
             f = rng.standard_normal(net.n)
             f[list(killed.config.boundary)] = 0.0
-            worst_rep = max(worst_rep, _rel(en.energy_inner(net, f, gA), float(np.sum(d.nu[A] * f[A]))))
+            worst_rep = max(worst_rep, _rel(en.energy_inner(net, f, gA), float(np.sum(net.nu[A] * f[A]))))
     rep.check("green-indicator-density", worst_delta, 1e-9)
     rep.check("green-reproducing", worst_rep, 1e-10)
 
@@ -349,12 +360,11 @@ def _suite_rkhs(net: Network, rng, tol, rep: Report) -> None:
         min_eig = float(np.min(np.linalg.eigvalsh(gram)))
         rep.check(name, max(0.0, -min_eig), 1e-9 * max(1.0, float(np.trace(gram))))
     # mass-kernel representation of integral functionals
-    d = derive(net)
     coef = rng.standard_normal(len(fam))
     f_span = np.zeros(net.n)
     for cc, A in zip(coef, fam):
         f_span += cc * en.indicator(net, A)
-    target = np.array([float(np.sum(d.nu[A] * f_span[A])) for A in fam])
+    target = np.array([float(np.sum(net.nu[A] * f_span[A])) for A in fam])
     beta, *_ = np.linalg.lstsq(knu, target, rcond=None)
     rep.check("mass-kernel-representation", float(np.max(np.abs(knu @ beta - target))) / max(1.0, float(np.max(np.abs(target)))), 1e-9)
     worst_norm = 0.0
@@ -396,12 +406,8 @@ def _suite_rkhs(net: Network, rng, tol, rep: Report) -> None:
 
 def _truncated_series_gram(net: Network, killed, fam) -> np.ndarray:
     idx = list(killed.config.interior)
-    nu_int = derive(net).nu[idx]
-    pos = {state: row for row, state in enumerate(idx)}
-    chis = np.zeros((len(fam), len(idx)))
-    for a, A in enumerate(fam):
-        for i in A:
-            chis[a, pos[i]] = 1.0
+    nu_int = net.nu[idx]
+    chis = en.incidence(net, fam)[:, idx]
     r = killed.spectral_radius
     gram = np.zeros((len(fam), len(fam)))
     term = chis.T.copy()  # columns chi_B
@@ -438,8 +444,6 @@ def _suite_learn(net: Network, rng, tol, rep: Report) -> None:
         mean = float(np.sum(net.mu[idx] * psi[idx]) / np.sum(net.mu[idx]))
         worst_mean = max(worst_mean, float(np.max(np.abs(big[idx] - mean))))
     rep.check("large-penalty-flattens", worst_mean, 1e-6 * max(1.0, float(np.max(np.abs(psi)))))
-    from .net import build_network
-
     scaled = build_network(net.states, 3.0 * net.mu, 3.0 * net.W)
     h_scaled = ln.solve_regularized(ln.LearnProblem(scaled, psi, problem.gamma))
     rep.check("scaling-invariance", float(np.max(np.abs(h_scaled - h))), 1e-10 * max(1.0, float(np.max(np.abs(h)))))

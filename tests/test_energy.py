@@ -3,7 +3,7 @@ import pytest
 
 import mlap
 from mlap import SingularSystem, UnbalancedSets
-from mlap.energy import indicator
+from mlap.energy import DENSE_SOLVE_LIMIT, _solve_weak_form, indicator
 
 from conftest import all_subsets, energy_double_sum
 
@@ -271,3 +271,37 @@ def test_dipole_large_ring_uses_iterative_path():
     assert sol.residual <= 1e-9
     target = indicator(ring, [0]) - indicator(ring, [n // 2])
     np.testing.assert_allclose(mlap.apply_Delta(ring, sol.v.values), target, atol=1e-9)
+
+
+def test_indicator_gram_matches_pair_loop_reference(any_net, rng):
+    fam = [list(np.flatnonzero(rng.random(any_net.n) < 0.5)) or [0] for _ in range(5)]
+    nu = any_net.W.sum(axis=1)
+    ref = np.zeros((5, 5))
+    for a, A in enumerate(fam):
+        for b, B in enumerate(fam):
+            inter = sorted(set(A) & set(B))
+            ref[a, b] = nu[inter].sum() - any_net.W[np.ix_(A, B)].sum()
+    gram = mlap.indicator_gram(any_net, fam).gram
+    np.testing.assert_allclose(gram, ref, rtol=1e-13, atol=1e-13 * max(1.0, float(np.max(nu))))
+    np.testing.assert_array_equal(gram, gram.T)
+
+
+def test_weak_form_cg_branch_matches_lstsq():
+    # above DENSE_SOLVE_LIMIT the singular weak form is solved by conjugate gradients
+    n = 600
+    assert n > DENSE_SOLVE_LIMIT
+    rng = np.random.default_rng(5)
+    W = np.zeros((n, n))
+    ring = np.arange(n)
+    W[ring, (ring + 1) % n] = rng.uniform(0.5, 2.0, n)
+    chords = rng.permutation(n).reshape(-1, 2)
+    W[chords[:, 0], chords[:, 1]] = rng.uniform(0.5, 2.0, n // 2)
+    net = mlap.build_network(range(n), np.ones(n), W + W.T)
+    L = mlap.laplacian_matrix(net)
+    b = rng.standard_normal(n)
+    b -= b.mean()  # consistent right-hand side on a connected network
+    got = _solve_weak_form(L, b)
+    want, *_ = np.linalg.lstsq(L, b, rcond=None)
+    np.testing.assert_allclose(got - got.mean(), want - want.mean(), atol=1e-9 * np.max(np.abs(want)))
+    sol = mlap.dipole(net, "mu", [0], [n // 2])
+    assert sol.residual <= 1e-9

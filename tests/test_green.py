@@ -286,3 +286,40 @@ def test_mu_f_rkhs_norm_random(any_net, rng):
         got = mlap.mu_f_rkhs_norm(any_net, f)
         want = np.sqrt(max(mlap.energy_inner(any_net, f, f), 0.0))
         assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+
+def test_neumann_refuses_a_series_beyond_the_term_cap():
+    # the interior state keeps almost all its mass: radius 1 - 1e-9
+    W = np.array([[1.0, 1e-9], [1e-9, 1.0]])
+    net = mlap.build_network([0, 1], [1.0, 1.0], W)
+    with pytest.raises(TrappedInterior, match="more than"):
+        mlap.green_operator(net, [1], "neumann")
+    np.testing.assert_allclose(mlap.green_operator(net, [1], "solve"), [[1.0 + 1e9]], rtol=1e-6)
+
+
+def test_neumann_reports_a_series_stopped_unconverged(path, monkeypatch):
+    # radius sqrt(1/2): the geometric bound predicts 82.3 terms for tol 1e-12,
+    # but the entries of P_int^N decay only as 2^(-N/2) steps, so 84 are needed
+    import mlap.green as gr
+
+    monkeypatch.setattr(gr, "NEUMANN_MAX_TERMS", 83)
+    with pytest.raises(TrappedInterior, match="stopped"):
+        mlap.green_operator(path, [2], "neumann", tol=1e-12)
+    monkeypatch.setattr(gr, "NEUMANN_MAX_TERMS", 84)
+    G = mlap.green_operator(path, [2], "neumann", tol=1e-12)
+    np.testing.assert_allclose(G, [[2.0, 2.0], [1.0, 2.0]], atol=1e-11)
+
+
+def test_nrho_matches_per_pair_green_energies(any_net, rng):
+    bnd = default_boundary(any_net)
+    interior = [i for i in range(any_net.n) if i not in set(bnd)]
+    if not interior:
+        pytest.skip("no interior")
+    fam = [[i for i in interior if rng.random() < 0.5] or [interior[0]] for _ in range(4)]
+    greens = [mlap.green_indicator(any_net, bnd, A) for A in fam]
+    ngram = mlap.kernel_gram(any_net, "N_rho", fam, bnd).gram
+    for a in range(4):
+        for b in range(4):
+            diff = greens[a] - greens[b]
+            want = mlap.energy_inner(any_net, diff, diff)
+            assert ngram[a, b] == pytest.approx(want, rel=1e-10, abs=1e-12)

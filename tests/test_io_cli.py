@@ -11,6 +11,7 @@ from mlap.netio import (
     FIXTURES,
     load_network,
     network_checksum,
+    network_document,
     save_network,
 )
 from mlap.suites import run_suite
@@ -303,3 +304,65 @@ def test_cli_out_file(fixture_dir, tmp_path):
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["passed"] is True
+
+
+def _edges_by_loop(net):
+    """Upper-triangle edge list by the row-major double loop."""
+    edges = []
+    for a in range(net.n):
+        for b in range(a, net.n):
+            if net.W[a, b] > 0.0:
+                edges.append({"i": str(net.states[a]), "j": str(net.states[b]), "w": float(net.W[a, b])})
+    return edges
+
+
+def test_network_document_edges_match_loop_reference(rng):
+    nets = [make() for make in FIXTURE_MAKERS.values()]
+    W = np.where(rng.random((7, 7)) < 0.5, rng.uniform(0.1, 3.0, (7, 7)), 0.0)
+    nets.append(mlap.build_network(range(7), np.ones(7), W + W.T + np.eye(7)))
+    for net in nets:
+        assert network_document(net)["edges"] == _edges_by_loop(net)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "--f", "[1,"],
+        ["energy", "--f", '["x",0,0]'],
+        ["energy", "--f", '{"a": 1}'],
+        ["energy", "--f", "[NaN,0,0]"],
+        ["energy", "--f", "[1e999,0,0]"],
+        ["learn", "--gamma", "1", "--target", "[Infinity,0,0]"],
+        ["--seed", "-1", "sample"],
+        ["--seed", str(2**64), "suite", "--suite", "core"],
+    ],
+)
+def test_cli_bad_input_is_a_one_line_validation_error(fixture_dir, capsys, argv):
+    code = main(["--net", str(fixture_dir / "triangle.json")] + argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[1,", '[[1, 2], [3]]', "[1, 0, 0"])
+def test_cli_malformed_vector_file(fixture_dir, tmp_path, capsys, text):
+    vec = tmp_path / "f.json"
+    vec.write_text(text)
+    code = main(["--net", str(fixture_dir / "triangle.json"), "energy", "--f", "@" + str(vec)])
+    assert code == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[[", '{"a": ["0"]}', '["01"]', '[["0"], 1]', '[["9"]]'])
+def test_cli_malformed_sets_file(fixture_dir, tmp_path, capsys, text):
+    sets = tmp_path / "sets.json"
+    sets.write_text(text)
+    code = main(["--net", str(fixture_dir / "path3.json"), "kernel", "--kind", "K", "--sets", str(sets)])
+    assert code == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cli_largest_seed_is_accepted(fixture_dir, capsys):
+    code = main(["--net", str(fixture_dir / "triangle.json"), "--seed", str(2**64 - 1),
+                 "sample", "--steps", "1", "--paths", "10"])
+    assert code == 0

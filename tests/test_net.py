@@ -1,14 +1,20 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlap
 from mlap import (
     AsymmetricCoupling,
+    DimensionMismatch,
     EmptyTargetSet,
     NonpositiveMass,
     NonpositiveWeight,
+    TrappedInterior,
     ZeroConductance,
 )
+from mlap.net import Network
 
 from conftest import FIXTURE_MAKERS
 
@@ -207,3 +213,99 @@ def test_all_fixtures_valid():
     for name, make in FIXTURE_MAKERS.items():
         net = make()
         assert net.n >= 1, name
+
+
+def test_build_symmetry_tolerance_scales_with_coupling():
+    # one-ulp noise on couplings of size 1e6 is round-off, not asymmetry
+    big = 1e6
+    W = np.array([[0.0, big], [np.nextafter(big, np.inf), 0.0]])
+    net = mlap.build_network([0, 1], [1.0, 1.0], W)
+    np.testing.assert_array_equal(net.W, net.W.T)
+    # a 2:1 mismatch is asymmetry at any scale
+    with pytest.raises(AsymmetricCoupling):
+        mlap.build_network([0, 1], [1.0, 1.0], 1e-14 * np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_derive_returns_the_same_readonly_arrays(any_net):
+    d1, d2 = mlap.derive(any_net), mlap.derive(any_net)
+    for name in ("c", "nu", "P"):
+        a, b = getattr(d1, name), getattr(d2, name)
+        assert a is b
+        assert not a.flags.writeable
+    assert not d1.rho_x.flags.writeable
+
+
+def test_directly_built_network_derives_its_measures():
+    net = Network(("a", "b"), np.array([1.0, 2.0]), np.array([[0.0, 2.0], [2.0, 1.0]]), None)
+    np.testing.assert_array_equal(net.nu, [2.0, 3.0])
+    np.testing.assert_array_equal(net.c, [2.0, 1.5])
+    np.testing.assert_array_equal(mlap.derive(net).P, [[0.0, 1.0], [2.0 / 3.0, 1.0 / 3.0]])
+
+
+def test_index_matches_string_form():
+    net = mlap.build_network([10, 20, 30], np.ones(3), np.ones((3, 3)))
+    assert net.index(20) == 1
+    assert net.index("30") == 2
+    with pytest.raises(DimensionMismatch):
+        net.index("40")
+
+
+# ---------------------------------------------------------------------------
+# reachability against networkx on random networks, connected or not
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(1, 9))
+    density = draw(st.floats(0.0, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.where(np.triu(rng.random((n, n)) < density), rng.uniform(0.5, 2.0, (n, n)), 0.0)
+    W = upper + np.triu(upper, 1).T
+    lonely = np.flatnonzero(~np.any(W > 0.0, axis=1))
+    W[lonely, lonely] = 1.0  # a self-loop keeps an isolated state's conductance positive
+    net = mlap.build_network(range(n), rng.uniform(0.5, 2.0, n), W)
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(zip(*np.nonzero(W)))
+    return net, G, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_components_match_networkx(case):
+    net, G, _ = case
+    expected = sorted(tuple(sorted(c)) for c in nx.connected_components(G))
+    assert mlap.components(net) == expected
+    assert mlap.irreducibility(net).irreducible == nx.is_connected(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_boundary_reachability_matches_networkx(case):
+    net, G, rng = case
+    boundary = np.flatnonzero(rng.random(net.n) < 0.3).tolist() or [net.n - 1]
+    touched = set()
+    for comp in nx.connected_components(G):
+        if comp & set(boundary):
+            touched |= comp
+    if len(touched) < net.n:
+        with pytest.raises(TrappedInterior):
+            mlap.boundary_config(net, boundary)
+        with pytest.raises(TrappedInterior):
+            mlap.dipole(net, "mu", [], [], boundary=boundary)
+    else:
+        cfg = mlap.boundary_config(net, boundary)
+        assert cfg.interior == tuple(i for i in range(net.n) if i not in boundary)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks())
+def test_attainability_matches_networkx(case):
+    net, G, rng = case
+    x = int(rng.integers(net.n))
+    A = np.flatnonzero(rng.random(net.n) < 0.3).tolist() or [int(rng.integers(net.n))]
+    # a walk of length >= 1 takes one step to a neighbour, then a shortest path into A
+    dist = nx.multi_source_dijkstra_path_length(G, set(A))
+    steps = [1 + dist[y] for y in G.neighbors(x) if y in dist]
+    assert mlap.attainability(net, x, A) == (min(steps) if steps else None)

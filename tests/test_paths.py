@@ -4,7 +4,8 @@ import pytest
 import mlap
 from mlap.energy import indicator
 from mlap.learn import diagonal_network
-from mlap.paths import increment_orthogonality_residual
+from mlap.paths import PathBatch, _step, increment_orthogonality_residual, transition_counts
+from mlap.suites import _transition_excess
 
 
 def test_sample_paths_reproducible(tri):
@@ -218,3 +219,88 @@ def test_step_inner_products_telescope(any_net, rng):
             lhs = mlap.energy_inner(any_net, pk, pl)
             rhs = mlap.rho_n(any_net, A, A, k + l) - mlap.rho_n(any_net, A, A, k + l + 1)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def test_step_overshoot_takes_the_rows_last_positive_column():
+    # this row's float cumsum ends at 0.9999999999999999, below the draw 1 - 2^-53
+    row = np.array([[0.36974070148364635, 0.4804184990778926, 0.12548770403091666, 0.0]])
+    cum = np.cumsum(row, axis=1)
+    u = np.array([1.0 - 2.0**-53])
+    assert u[0] >= cum[0, -1]
+    assert _step(cum, np.array([2]), np.array([0]), u)[0] == 2
+    assert _step(cum, np.array([2]), np.array([0]), np.array([0.5]))[0] == 1
+
+
+def _sample_with_clamp_to_last_state(net, seed, m, count):
+    """The sampler with an overshooting draw clamped to state n - 1."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    u = rng.random((count, m + 1))
+    nu = net.W.sum(axis=1)
+    cum_rows = np.cumsum(net.W / nu[:, None], axis=1)
+    paths = np.empty((count, m + 1), dtype=np.int64)
+    paths[:, 0] = np.minimum(np.searchsorted(np.cumsum(nu) / np.sum(nu), u[:, 0], side="right"), net.n - 1)
+    for t in range(m):
+        nxt = np.sum(u[:, t + 1, None] >= cum_rows[paths[:, t]], axis=1)
+        paths[:, t + 1] = np.minimum(nxt, net.n - 1)
+    return paths
+
+
+def test_paths_unchanged_where_no_draw_overshoots(any_net):
+    for seed in (0, 7, 123, 2**63 + 5):
+        batch = mlap.sample_paths(any_net, seed, 6, 400, "nu")
+        np.testing.assert_array_equal(batch.paths, _sample_with_clamp_to_last_state(any_net, seed, 6, 400))
+
+
+def test_transition_counts(tri):
+    batch = mlap.sample_paths(tri, 3, 4, 300, "nu")
+    counts, visits = transition_counts(tri, batch)
+    ref = np.zeros((3, 3))
+    for t in range(4):
+        np.add.at(ref, (batch.paths[:, t], batch.paths[:, t + 1]), 1.0)
+    np.testing.assert_array_equal(counts, ref)
+    np.testing.assert_array_equal(visits, ref.sum(axis=1))
+
+
+def _ring(n, seed):
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n))
+    ring = np.arange(n)
+    W[ring, (ring + 1) % n] = rng.uniform(0.5, 2.0, n)
+    chords = rng.permutation(n).reshape(-1, 2)
+    W[chords[:, 0], chords[:, 1]] += rng.uniform(0.5, 2.0, n // 2)
+    return mlap.build_network(range(n), rng.uniform(0.5, 2.0, n), W + W.T)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_empirical_transitions_check_passes_a_correct_sampler(n):
+    # the former fixed 0.05 bound failed every one of these
+    net = _ring(n, n)
+    for seed in range(5):
+        batch = mlap.sample_paths(net, seed, 1, 20000, "nu")
+        assert _transition_excess(net.P, *transition_counts(net, batch)) == 0.0
+
+
+def test_empirical_transitions_check_catches_a_wrong_row():
+    # planted bug: moves out of the state with the most uneven row ignore its
+    # weights and pick a support neighbour uniformly (~1500 departures per run)
+    net = _ring(12, 1)
+    worst = int(np.argmax([np.ptp(row[row > 0.0]) for row in net.P]))
+    support = np.flatnonzero(net.P[worst] > 0.0)
+    for seed in range(5):
+        batch = mlap.sample_paths(net, seed, 1, 20000, "nu")
+        assert _transition_excess(net.P, *transition_counts(net, batch)) == 0.0
+        paths = batch.paths.copy()
+        leaving = paths[:, 0] == worst
+        paths[leaving, 1] = np.random.default_rng(seed).choice(support, int(leaving.sum()))
+        bad = PathBatch(batch.seed, 1, batch.count, "nu", paths)
+        assert _transition_excess(net.P, *transition_counts(net, bad)) > 0.0
+
+
+def test_empirical_transitions_check_fails_an_off_support_move():
+    net = _ring(50, 1)
+    batch = mlap.sample_paths(net, 11, 1, 20000, "nu")
+    paths = batch.paths.copy()
+    i = paths[0, 0]
+    paths[0, 1] = int(np.flatnonzero(net.P[i] == 0.0)[0])
+    bad = PathBatch(batch.seed, 1, batch.count, "nu", paths)
+    assert _transition_excess(net.P, *transition_counts(net, bad)) >= 1.0
