@@ -68,7 +68,7 @@ def _family_arg(net, path):
 
 
 def _emit(payload, args):
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"
     if getattr(args, "format", "json") == "csv" and "results" in payload:
         buf = io.StringIO()
         writer = csv.writer(buf)

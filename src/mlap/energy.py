@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem, UnbalancedSets
+from .factor import spd_factor
 from .net import Network, boundary_config, components
 from .operators import apply_Delta, apply_P, laplacian_matrix
 
@@ -127,7 +128,11 @@ def royden_project(net: Network, f) -> dict:
 
 
 def _cg(matvec, b, tol=1e-13, maxiter=None):
-    """Conjugate gradients for a PSD operator, plain reference loop."""
+    """Conjugate gradients for a PSD operator, plain reference loop.
+
+    Raises :class:`SingularSystem` when ``maxiter`` iterations leave the
+    relative residual above ``tol``.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
@@ -136,7 +141,7 @@ def _cg(matvec, b, tol=1e-13, maxiter=None):
     maxiter = maxiter or 20 * len(b)
     for _ in range(maxiter):
         if np.sqrt(rs) <= tol * bnorm:
-            break
+            return x
         Ap = matvec(p)
         alpha = rs / float(p @ Ap)
         x += alpha * p
@@ -144,6 +149,10 @@ def _cg(matvec, b, tol=1e-13, maxiter=None):
         rs_new = float(r @ r)
         p = r + (rs_new / rs) * p
         rs = rs_new
+    if np.sqrt(rs) > tol * bnorm:
+        raise SingularSystem(
+            f"CG stopped at {maxiter} iterations with relative residual {np.sqrt(rs) / bnorm:.3e}"
+        )
     return x
 
 
@@ -176,7 +185,6 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
     weight = net.mu if kind == "mu" else net.nu
     b = weight * chi
     target = chi if kind == "mu" else net.c * chi
-    L = laplacian_matrix(net)
 
     if boundary is None:
         scale = max(1.0, float(np.sum(np.abs(b))))
@@ -188,7 +196,7 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
                 raise SingularSystem(
                     "sets meet distinct components; system is inconsistent"
                 )
-        v = _solve_weak_form(L, b)
+        v = _solve_weak_form(laplacian_matrix(net), b)
         elem = canonicalize(net, v)
         res = np.linalg.norm(apply_Delta(net, elem.values) - target)
         residual = float(res / (1.0 + np.linalg.norm(target)))
@@ -197,11 +205,7 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
     interior = list(boundary_config(net, boundary).interior)
     v = np.zeros(net.n)
     if interior:
-        Lii = L[np.ix_(interior, interior)]
-        try:
-            v[interior] = np.linalg.solve(Lii, b[interior])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
+        v[interior] = spd_factor(net, interior, net.nu[interior]).solve(b[interior])
     res_vec = (apply_Delta(net, v) - target)[interior]
     residual = float(np.linalg.norm(res_vec) / (1.0 + np.linalg.norm(target)))
     return DipoleSolution(EnergyElement(v, False), kind, A, B, residual)

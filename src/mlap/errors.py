@@ -47,7 +47,12 @@ class UnbalancedSets(ValidationError):
 
 
 class SingularSystem(ValidationError):
-    """Dipole system is inconsistent (sets meet distinct components)."""
+    """Linear system has no reliable solution.
+
+    Raised for dipole sets that meet distinct components, for a system matrix
+    that is not positive definite, and for an iterative solve that stops
+    above its tolerance.
+    """
 
 
 class TrappedInterior(ValidationError):

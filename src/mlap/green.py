@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,11 @@ from .errors import (
     FamilyTooSmall,
     MissingBoundary,
     SetMeetsBoundary,
+    SingularSystem,
     TrappedInterior,
 )
 from .energy import KernelGram, incidence, indicator_gram, normalize_family
+from .factor import DenseSPD, SparseSPD, spd_factor
 from .net import BoundaryConfig, Network, boundary_config
 from .operators import harmonic_basis, laplacian_matrix
 
@@ -59,43 +62,66 @@ NEUMANN_MAX_TERMS = 1000000
 
 @dataclass(frozen=True)
 class KilledRestriction:
-    P_int: np.ndarray
-    spectral_radius: float
+    """The killed chain on the interior of a boundary.
+
+    ``factor`` is the one factorization of the interior weak form
+    ``L_int = diag(nu_int) - W_int = diag(nu_int) (I - P_int)`` that every
+    Green column of a public call comes from.
+    """
+
+    net: Network
     config: BoundaryConfig
+    spectral_radius: float
+    factor: DenseSPD | SparseSPD
+
+    @cached_property
+    def P_int(self) -> np.ndarray:
+        """Interior restriction of P; only the series cross-checks read it."""
+        idx = list(self.config.interior)
+        return self.net.W[np.ix_(idx, idx)] / self.net.nu[idx][:, None]
+
+    def green(self, B: np.ndarray) -> np.ndarray:
+        """``(I - P_int)^{-1} B = L_int^{-1} diag(nu_int) B`` for a k x m matrix ``B``."""
+        nu_int = self.net.nu[list(self.config.interior)]
+        return self.factor.solve(nu_int[:, None] * B)
 
 
 def killed_restriction(net: Network, boundary) -> KilledRestriction:
-    """Interior restriction of P and its spectral radius (< 1)."""
+    """Factor the interior weak form once and find the spectral radius (< 1).
+
+    The radius of ``P_int`` is ``1 - lambda_min`` of the nu-symmetrized
+    ``L_int``: by Perron-Frobenius the radius of the nonnegative matrix
+    ``D^{1/2} P_int D^{-1/2}`` is its top eigenvalue.
+    """
     cfg = boundary_config(net, boundary)
     idx = list(cfg.interior)
-    W_int = net.W[np.ix_(idx, idx)]
     nu_int = net.nu[idx]
-    P_int = W_int / nu_int[:, None]
-    radius = 0.0
-    if idx:
-        s = np.sqrt(nu_int)
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(W_int / np.outer(s, s)))))
+    try:
+        factor = spd_factor(net, idx, nu_int)
+    except SingularSystem as exc:
+        raise TrappedInterior(f"killed chain is not transient: {exc}") from None
+    radius = 1.0 - factor.lowest_eigenvalue(np.sqrt(nu_int)) if idx else 0.0
     if radius >= 1.0 - RADIUS_MARGIN:
         raise TrappedInterior(f"killed chain is not transient: radius {radius}")
-    return KilledRestriction(P_int, radius, cfg)
+    return KilledRestriction(net, cfg, radius, factor)
 
 
 def green_operator(net: Network, boundary, method: str = "solve", tol: float = 1e-12) -> np.ndarray:
     """Green matrix ``(I - P_int)^{-1}`` on the interior.
 
-    ``method`` is "solve" (dense factorization) or "neumann" (partial sums
-    accumulated until the geometric tail bound drops below ``tol``); both
-    agree entrywise and all entries are nonnegative.  The Neumann series
+    ``method`` is "solve" (the killed chain's factorization) or "neumann"
+    (partial sums accumulated until the geometric tail bound drops below
+    ``tol``); both agree entrywise and all entries are nonnegative.  The Neumann series
     raises :class:`TrappedInterior` when the bound ``r^N * r / (1 - r)``
     needs more than ``NEUMANN_MAX_TERMS`` terms to reach ``tol``, and when
     the tail bound is still above ``tol`` after that many terms.
     """
     killed = killed_restriction(net, boundary)
-    k = killed.P_int.shape[0]
+    k = len(killed.config.interior)
     if k == 0:
         return np.zeros((0, 0))
     if method == "solve":
-        return np.linalg.solve(np.eye(k) - killed.P_int, np.eye(k))
+        return killed.green(np.eye(k))
     if method != "neumann":
         raise DimensionMismatch(f"method must be 'solve' or 'neumann', got {method!r}")
     if not tol > 0.0:
@@ -140,7 +166,7 @@ def _greens(net: Network, boundary, family):
     X = incidence(net, fam)
     idx = list(killed.config.interior)
     greens = np.zeros((net.n, len(fam)))
-    greens[idx] = np.linalg.solve(np.eye(len(idx)) - killed.P_int, X[:, idx].T)
+    greens[idx] = killed.green(X[:, idx].T)
     return fam, X, greens, killed
 
 
@@ -184,7 +210,7 @@ def isometry_suite(net: Network, boundary, family) -> dict:
     """Three independent evaluations of the killed-kernel norms.
 
     For each set ``A`` the report carries the kernel diagonal ``K(A, A)``
-    (dense solve), the energy norm of the Green indicator (weak-form
+    (factored solve), the energy norm of the Green indicator (weak-form
     quadratic), and the L2(nu) norm of ``(I - P_int)^{-1/2} chi_A``
     (eigendecomposition of the symmetrized interior operator), together
     with the worst pairwise gap between ``<G_A, G_B>_E`` and ``K(A, B)``.

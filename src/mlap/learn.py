@@ -21,6 +21,7 @@ from .errors import (
     SymmetryViolation,
     ValidationError,
 )
+from .factor import spd_factor
 from .net import Network, build_network
 from .operators import laplacian_matrix
 
@@ -54,15 +55,14 @@ def solve_regularized(problem: LearnProblem) -> np.ndarray:
 
     gamma = 0 returns psi exactly; gamma -> infinity drives the solution to
     the constant mu-weighted mean of psi on a connected network.  The
-    system matrix is symmetric positive definite for every gamma >= 0, and
-    the Cholesky factorization used here verifies positive pivots.
+    system matrix ``diag(mu + gamma * nu) - gamma * W`` is symmetric
+    positive definite for every gamma >= 0; its factorization verifies
+    positive pivots (see :mod:`mlap.factor`).
     """
     net = problem.net
-    A = np.diag(net.mu) + problem.gamma * laplacian_matrix(net)
-    rhs = net.mu * problem.psi
-    chol = np.linalg.cholesky(A)  # raises if any pivot fails
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, y)
+    d = net.mu + problem.gamma * net.nu
+    factor = spd_factor(net, np.arange(net.n), d, problem.gamma)
+    return factor.solve(net.mu * problem.psi)
 
 
 def optimality_check(problem: LearnProblem, h, trials: int = 20, eps: float = 1e-4, seed: int = 0) -> float:

@@ -10,8 +10,9 @@ Derived objects: conductance ``c``, stationary measure ``nu = c * mu``
 (equal to the row sums of ``W``), the row-stochastic transition matrix
 ``P[i, j] = W[i, j] / nu[i]``, and the conditional rows
 ``rho_x[i, j] = W[i, j] / mu[i]``.  ``nu``, ``c`` and ``P`` are computed
-once per network, on first use, and cached on it; the support graph is
-walked only by :func:`reachable`.
+once per network, on first use, and cached on it, as are the nonzero count
+and the CSR copy of ``W`` that the sparse solvers read; the support graph
+is walked only by :func:`reachable`.
 """
 
 from __future__ import annotations
@@ -83,9 +84,24 @@ class Network:
         return _readonly(self.W / self.nu[:, None])
 
     @cached_property
+    def nnz(self) -> int:
+        """Number of nonzero coupling atoms."""
+        return int(np.count_nonzero(self.W))
+
+    @cached_property
+    def W_csr(self):
+        """``W`` as a read-only scipy CSR array for the sparse solvers; ``W`` stays the stored form."""
+        from scipy.sparse import csr_array
+
+        W = csr_array(self.W)
+        for a in (W.data, W.indices, W.indptr):
+            a.flags.writeable = False
+        return W
+
+    @cached_property
     def _positions(self) -> dict:
-        # first state wins when two identifiers share a string form
-        return {str(s): i for i, s in reversed(list(enumerate(self.states)))}
+        # build_network rejects identifiers whose string forms collide
+        return {str(s): i for i, s in enumerate(self.states)}
 
     def index(self, state) -> int:
         """Index of a state, matched by its string form (CLI tokens and file ids)."""
@@ -174,8 +190,8 @@ def build_network(states: Sequence, mu, W, boundary=None) -> Network:
     n = len(states)
     if n < 1:
         raise DimensionMismatch("need at least one state")
-    if len(set(states)) != n:
-        raise DimensionMismatch("state identifiers must be unique")
+    if len(set(states)) != n or len(set(map(str, states))) != n:
+        raise DimensionMismatch("state identifiers and their string forms must be unique")
     mu = _check_vector(mu, n, "mu")
     W = np.asarray(W, dtype=float)
     if W.shape != (n, n):

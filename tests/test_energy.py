@@ -3,7 +3,7 @@ import pytest
 
 import mlap
 from mlap import SingularSystem, UnbalancedSets
-from mlap.energy import DENSE_SOLVE_LIMIT, _solve_weak_form, indicator
+from mlap.energy import DENSE_SOLVE_LIMIT, _cg, _solve_weak_form, indicator
 
 from conftest import all_subsets, energy_double_sum
 
@@ -305,3 +305,17 @@ def test_weak_form_cg_branch_matches_lstsq():
     np.testing.assert_allclose(got - got.mean(), want - want.mean(), atol=1e-9 * np.max(np.abs(want)))
     sol = mlap.dipole(net, "mu", [0], [n // 2])
     assert sol.residual <= 1e-9
+
+
+def test_cg_raises_when_it_stops_above_tolerance():
+    n = 40
+    W = np.zeros((n, n))
+    ring = np.arange(n)
+    W[ring, (ring + 1) % n] = 1.0
+    net = mlap.build_network(range(n), np.ones(n), W + W.T)
+    L = mlap.laplacian_matrix(net)
+    b = indicator(net, [0]) - indicator(net, [n // 2])
+    with pytest.raises(SingularSystem, match="3 iterations"):
+        _cg(lambda x: L @ x, b, maxiter=3)
+    v = _cg(lambda x: L @ x, b)
+    assert np.linalg.norm(L @ v - b) <= 1e-12 * np.linalg.norm(b)

@@ -242,6 +242,14 @@ def test_directly_built_network_derives_its_measures():
     np.testing.assert_array_equal(mlap.derive(net).P, [[0.0, 1.0], [2.0 / 3.0, 1.0 / 3.0]])
 
 
+def test_state_ids_with_colliding_string_forms_rejected():
+    # 0 and "0" would be saved as two states with id "0", which the loader rejects
+    with pytest.raises(DimensionMismatch):
+        mlap.build_network((0, "0"), np.ones(2), np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        mlap.build_network((1, 1.0), np.ones(2), np.ones((2, 2)))
+
+
 def test_index_matches_string_form():
     net = mlap.build_network([10, 20, 30], np.ones(3), np.ones((3, 3)))
     assert net.index(20) == 1
