@@ -197,10 +197,9 @@ def cmd_sample(args):
         "max_transition_gap": float(np.max(np.abs(emp - net.P))),
     }
     if args.dump:
+        ids = np.array([str(s) for s in net.states], dtype=object)
         with open(args.dump, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in batch.paths:
-                writer.writerow([str(net.states[i]) for i in row])
+            csv.writer(fh).writerows(ids[batch.paths].tolist())
         payload["dump"] = args.dump
     _emit(payload, args)
     return 0
@@ -366,6 +365,8 @@ def main(argv=None) -> int:
     try:
         if not 0 <= args.seed < 2**64:
             raise ValidationError(f"--seed must lie in [0, 2**64), got {args.seed}")
+        if not (np.isfinite(args.tol) and args.tol > 0.0):
+            raise ValidationError(f"--tol must be finite and > 0, got {args.tol}")
         return args.func(args)
     except (MlapIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,8 +37,9 @@ class LearnProblem:
         if psi.shape != (self.net.n,) or not np.all(np.isfinite(psi)):
             raise DimensionMismatch("psi must be a finite length-n vector")
         object.__setattr__(self, "psi", psi)
-        if self.gamma < 0.0:
-            raise NegativeGamma("gamma must be >= 0")
+        # written so that NaN fails too
+        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise NegativeGamma(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 def objective(problem: LearnProblem, h) -> float:

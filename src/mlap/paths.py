@@ -49,14 +49,39 @@ def _parse_start_law(net: Network, start_law: str) -> int | None:
     raise DimensionMismatch(f"start_law must be 'nu' or 'state:<id>', got {start_law!r}")
 
 
-def _step(cum_rows, last, current, u) -> np.ndarray:
+def _row_segments(P) -> tuple:
+    """CSR-style segments of the transition rows: ``(indptr, cols, cum)``.
+
+    Row ``x`` owns entries ``indptr[x]:indptr[x + 1]``: its positive columns
+    in increasing order, each with the row's float cumsum at that column.
+    The cumsum runs over the dense row, so the values are bit-equal to the
+    dense inverse CDF's (adding an exact 0.0 changes nothing).  The support
+    comes from ``P``, not ``W``: a coupling whose ``W / nu`` underflows to 0
+    can never be drawn.
+    """
+    rows, cols = np.nonzero(P)
+    cum = np.cumsum(P, axis=1)[rows, cols]
+    indptr = np.zeros(P.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=P.shape[0]), out=indptr[1:])
+    return indptr, cols, cum
+
+
+def _step(indptr, cols, cum, current, u) -> np.ndarray:
     """Inverse-CDF draw of the next states from the rows of ``current``.
 
-    A draw at or above a row's rounded total would land past the row's
-    support; it takes the row's last positive column ``last[current]``.
+    Bisects each row's segment for the first cumsum entry above the draw:
+    ``ceil(log2(max degree))`` gathers of ``len(current)`` in all.  A draw at or
+    above a row's rounded total finds none and takes the segment's last
+    entry, the row's last positive column.
     """
-    nxt = np.sum(u[:, None] >= cum_rows[current], axis=1)
-    return np.minimum(nxt, last[current])
+    lo = indptr[current]
+    hi = indptr[current + 1] - 1
+    for _ in range(int(np.max(np.diff(indptr)) - 1).bit_length()):
+        mid = (lo + hi) >> 1
+        above = cum[mid] > u
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, np.minimum(mid + 1, hi))
+    return cols[lo]
 
 
 def sample_paths(net: Network, seed: int, m: int, count: int, start_law: str = "nu") -> PathBatch:
@@ -64,7 +89,8 @@ def sample_paths(net: Network, seed: int, m: int, count: int, start_law: str = "
 
     Starts follow ``start_law`` ("nu" for nu-proportional, "state:<id>" for
     a fixed start); each step draws from the transition row of the current
-    state by inverse CDF.  The fixed-start law still consumes the start
+    state by inverse CDF over the row's support, so a step costs
+    O(count * log(degree)).  The fixed-start law still consumes the start
     uniform so the per-path draw blocks stay aligned.
     """
     if m < 1 or count < 1:
@@ -72,8 +98,7 @@ def sample_paths(net: Network, seed: int, m: int, count: int, start_law: str = "
     fixed = _parse_start_law(net, start_law)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     u = rng.random((count, m + 1))
-    cum_rows = np.cumsum(net.P, axis=1)
-    last = net.n - 1 - np.argmax(net.P[:, ::-1] > 0.0, axis=1)
+    segments = _row_segments(net.P)
     paths = np.empty((count, m + 1), dtype=np.int64)
     if fixed is None:
         cum_nu = np.cumsum(net.nu) / np.sum(net.nu)
@@ -83,7 +108,7 @@ def sample_paths(net: Network, seed: int, m: int, count: int, start_law: str = "
     else:
         paths[:, 0] = fixed
     for t in range(m):
-        paths[:, t + 1] = _step(cum_rows, last, paths[:, t], u[:, t + 1])
+        paths[:, t + 1] = _step(*segments, paths[:, t], u[:, t + 1])
     return PathBatch(int(seed), int(m), int(count), start_law, paths)
 
 
@@ -149,7 +174,7 @@ def mc_energy_estimate(net: Network, f, seed: int, count: int) -> McEstimate:
     if f.shape != (net.n,):
         raise DimensionMismatch("f must be a length-n vector")
     batch = sample_paths(net, seed, 1, count, "nu")
-    nu_total = float(np.sum(net.W))
+    nu_total = float(np.sum(net.nu))
     d2 = (f[batch.paths[:, 1]] - f[batch.paths[:, 0]]) ** 2
     scale = 0.5 * nu_total
     estimate = scale * float(np.mean(d2))

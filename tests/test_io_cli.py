@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -232,6 +234,24 @@ def test_cli_sample_with_dump(fixture_dir, tmp_path, capsys):
     assert all(len(r.split(",")) == 3 for r in rows)
 
 
+def test_cli_sample_dump_matches_the_row_loop(tmp_path, capsys):
+    # ids that CSV must quote, and integers written by str()
+    W = np.array([[0.0, 1.0, 2.0, 0.0], [1.0, 0.5, 1.0, 0.0], [2.0, 1.0, 0.0, 3.0], [0.0, 0.0, 3.0, 0.0]])
+    net = mlap.build_network(("a,b", 'q"x', 7, " s"), np.ones(4), W)
+    save_network(net, str(tmp_path / "net.json"))
+    dump = tmp_path / "paths.csv"
+    code = main(["--net", str(tmp_path / "net.json"), "--seed", "4",
+                 "sample", "--steps", "3", "--paths", "200", "--dump", str(dump)])
+    assert code == 0
+    loaded = load_network(str(tmp_path / "net.json"))
+    batch = mlap.sample_paths(loaded, 4, 3, 200, "nu")
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    for row in batch.paths:
+        writer.writerow([str(loaded.states[i]) for i in row])
+    assert dump.read_bytes() == ref.getvalue().encode()
+
+
 def test_cli_kernel(fixture_dir, tmp_path, capsys):
     sets = tmp_path / "sets.json"
     sets.write_text('[["0"], ["1"]]')
@@ -335,6 +355,12 @@ def test_network_document_edges_match_loop_reference(rng):
         ["learn", "--gamma", "1", "--target", "[Infinity,0,0]"],
         ["--seed", "-1", "sample"],
         ["--seed", str(2**64), "suite", "--suite", "core"],
+        ["learn", "--gamma", "nan", "--target", "[1,0,0]"],
+        ["learn", "--gamma", "inf", "--target", "[1,0,0]"],
+        ["--tol", "inf", "green", "--method", "neumann"],
+        ["green", "--method", "neumann", "--tol", "nan"],
+        ["--tol", "0", "suite", "--suite", "core"],
+        ["suite", "--suite", "core", "--tol=-1e-10"],
     ],
 )
 def test_cli_bad_input_is_a_one_line_validation_error(fixture_dir, capsys, argv):

@@ -24,6 +24,12 @@ def test_negative_gamma_rejected(tri):
         mlap.LearnProblem(tri, np.zeros(3), -0.5)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gamma_rejected(tri, gamma):
+    with pytest.raises(NegativeGamma):
+        mlap.LearnProblem(tri, np.zeros(3), gamma)
+
+
 def test_large_gamma_limits_to_mean(tri, rng):
     psi = rng.standard_normal(3)
     h = mlap.solve_regularized(mlap.LearnProblem(tri, psi, 1e8))

@@ -1,10 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlap
 from mlap.energy import indicator
 from mlap.learn import diagonal_network
-from mlap.paths import PathBatch, _step, increment_orthogonality_residual, transition_counts
+from mlap.paths import PathBatch, _row_segments, _step, increment_orthogonality_residual, transition_counts
 from mlap.suites import _transition_excess
 
 
@@ -224,11 +229,132 @@ def test_step_inner_products_telescope(any_net, rng):
 def test_step_overshoot_takes_the_rows_last_positive_column():
     # this row's float cumsum ends at 0.9999999999999999, below the draw 1 - 2^-53
     row = np.array([[0.36974070148364635, 0.4804184990778926, 0.12548770403091666, 0.0]])
-    cum = np.cumsum(row, axis=1)
+    segments = _row_segments(row)
     u = np.array([1.0 - 2.0**-53])
-    assert u[0] >= cum[0, -1]
-    assert _step(cum, np.array([2]), np.array([0]), u)[0] == 2
-    assert _step(cum, np.array([2]), np.array([0]), np.array([0.5]))[0] == 1
+    assert u[0] >= np.cumsum(row, axis=1)[0, -1]
+    assert _step(*segments, np.array([0]), u)[0] == 2
+    assert _step(*segments, np.array([0]), np.array([0.5]))[0] == 1
+
+
+def _dense_step(P, current, u):
+    """Dense inverse-CDF step: count every column of the row's cumsum at or
+    below the draw, clamped to the row's last positive column."""
+    last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0.0, axis=1)
+    nxt = np.sum(u[:, None] >= np.cumsum(P, axis=1)[current], axis=1)
+    return np.minimum(nxt, last[current])
+
+
+def _sample_dense_inverse_cdf(net, seed, m, count, start_law="nu"):
+    """The sampler with the dense step."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    u = rng.random((count, m + 1))
+    paths = np.empty((count, m + 1), dtype=np.int64)
+    if start_law == "nu":
+        cum_nu = np.cumsum(net.nu) / np.sum(net.nu)
+        paths[:, 0] = np.minimum(np.searchsorted(cum_nu, u[:, 0], side="right"), net.n - 1)
+    else:
+        paths[:, 0] = net.index(start_law[len("state:"):])
+    for t in range(m):
+        paths[:, t + 1] = _dense_step(net.P, paths[:, t], u[:, t + 1])
+    return paths
+
+
+class _TopHeavyGenerator(np.random.Generator):
+    """Philox draws, with every third path's draws replaced by the largest double below 1."""
+
+    def random(self, shape):
+        u = super().random(shape)
+        u[::3] = 1.0 - 2.0**-53
+        return u
+
+
+@st.composite
+def sampler_networks(draw):
+    """Random valid networks: sparse (often disconnected), complete or star
+    shaped, with diagonal atoms, and sometimes a coupling whose P underflows."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["random", "complete", "star"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "random":
+        mask = rng.random((n, n)) < draw(st.floats(0.05, 0.9))
+    elif shape == "complete":
+        mask = np.ones((n, n), dtype=bool)
+    else:
+        mask = np.zeros((n, n), dtype=bool)
+        mask[0, 1:] = True
+    upper = np.where(np.triu(mask), rng.uniform(0.1, 3.0, (n, n)), 0.0)
+    W = upper + np.triu(upper, 1).T
+    W[np.diag_indices(n)] *= rng.random(n) < draw(st.floats(0.0, 1.0))
+    lonely = ~np.any(W > 0.0, axis=1)
+    W[lonely, lonely] = rng.uniform(0.5, 2.0, int(lonely.sum()))
+    tiny = None
+    free = np.argwhere(np.triu(W == 0.0, 1))
+    if len(free) and draw(st.booleans()):
+        i, j = free[draw(st.integers(0, len(free) - 1))]
+        # nu >= 2 on both ends, so 5e-324 / nu rounds to 0
+        W[i, i] += 2.0
+        W[j, j] += 2.0
+        W[i, j] = W[j, i] = 5e-324
+        tiny = (i, j)
+    net = mlap.build_network(range(n), rng.uniform(0.5, 2.0, n), W)
+    if tiny is not None:
+        assert net.W[tiny] > 0.0 and net.P[tiny] == 0.0
+    start = draw(st.sampled_from(["nu", "state:%d" % draw(st.integers(0, n - 1))]))
+    return net, start
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampler_networks(), st.integers(0, 2**64 - 1), st.integers(1, 6))
+def test_paths_bit_equal_to_the_dense_inverse_cdf(case, seed, m):
+    net, start = case
+    batch = mlap.sample_paths(net, seed, m, 500, start)
+    np.testing.assert_array_equal(batch.paths, _sample_dense_inverse_cdf(net, seed, m, 500, start))
+    assert np.all(net.P[batch.paths[:, :-1], batch.paths[:, 1:]] > 0.0)
+    # draws on and next to every cumsum value of every row
+    current, col = np.nonzero(net.P)
+    cum = np.cumsum(net.P, axis=1)[current, col]
+    current = np.repeat(current, 3)
+    u = np.stack([np.nextafter(cum, 0.0), cum, np.nextafter(cum, 1.0)], axis=1).ravel()
+    np.testing.assert_array_equal(_step(*_row_segments(net.P), current, u), _dense_step(net.P, current, u))
+    # again with a third of the paths drawing 1 - 2^-53, which sits at or above
+    # every row total below 1: the clamp must take the last column of P's
+    # support, never a coupling whose P underflowed
+    with mock.patch("numpy.random.Generator", _TopHeavyGenerator):
+        batch = mlap.sample_paths(net, seed, m, 500, start)
+        np.testing.assert_array_equal(batch.paths, _sample_dense_inverse_cdf(net, seed, m, 500, start))
+
+
+def test_overshoot_never_takes_a_coupling_whose_p_underflows():
+    # row 0's float cumsum of P ends at 0.9999999999999999, and its last
+    # positive coupling W[0, 3] = 5e-324 gives P[0, 3] = 0
+    W = np.array([[1.81, 0.93, 1.4, 5e-324], [0.93, 1.0, 0.0, 0.0], [1.4, 0.0, 1.0, 0.0], [5e-324, 0.0, 0.0, 1.0]])
+    net = mlap.build_network(range(4), np.ones(4), W)
+    assert np.cumsum(net.P[0])[-1] <= 1.0 - 2.0**-53
+    assert net.W[0, 3] > 0.0 and net.P[0, 3] == 0.0
+    with mock.patch("numpy.random.Generator", _TopHeavyGenerator):
+        batch = mlap.sample_paths(net, 5, 1, 300, "state:0")
+        np.testing.assert_array_equal(batch.paths, _sample_dense_inverse_cdf(net, 5, 1, 300, "state:0"))
+    assert np.all(batch.paths[::3, 1] == 2)
+
+
+def test_paths_bit_equal_to_the_dense_inverse_cdf_on_a_ring():
+    net = _ring(800, 3)
+    for seed in (1, 7):
+        batch = mlap.sample_paths(net, seed, 20, 5000, "nu")
+        np.testing.assert_array_equal(batch.paths, _sample_dense_inverse_cdf(net, seed, 20, 5000))
+
+
+def test_sampler_memory_stays_below_a_count_by_n_block():
+    # the dense step gathered a count x n float block per step (128 MB here)
+    net = _ring(800, 1)
+    net.P
+    tracemalloc.start()
+    try:
+        mlap.sample_paths(net, 1, 5, 20000, "nu")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def _sample_with_clamp_to_last_state(net, seed, m, count):
