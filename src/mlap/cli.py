@@ -293,8 +293,15 @@ def _add_global_flags(parser, suppress):
                         **(kw or {"default": "json"}))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors (exit 1, one line); subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mlap", description=__doc__)
+    parser = _Parser(prog="mlap", description=__doc__)
     _add_global_flags(parser, suppress=False)
     parser.set_defaults(net=None, out=None)
     common = argparse.ArgumentParser(add_help=False)
@@ -360,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if not 0 <= args.seed < 2**64:
             raise ValidationError(f"--seed must lie in [0, 2**64), got {args.seed}")
         if not (np.isfinite(args.tol) and args.tol > 0.0):

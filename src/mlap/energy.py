@@ -22,7 +22,6 @@ from .net import Network, boundary_config, components
 from .operators import apply_Delta, apply_P, laplacian_matrix
 
 BALANCE_ATOL = 1e-12
-DENSE_SOLVE_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -127,43 +126,6 @@ def royden_project(net: Network, f) -> dict:
     return {"d": canonicalize(net, d), "h": canonicalize(net, h)}
 
 
-def _cg(matvec, b, tol=1e-13, maxiter=None):
-    """Conjugate gradients for a PSD operator, plain reference loop.
-
-    Raises :class:`SingularSystem` when ``maxiter`` iterations leave the
-    relative residual above ``tol``.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    bnorm = max(np.sqrt(float(b @ b)), 1e-300)
-    maxiter = maxiter or 20 * len(b)
-    for _ in range(maxiter):
-        if np.sqrt(rs) <= tol * bnorm:
-            return x
-        Ap = matvec(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    if np.sqrt(rs) > tol * bnorm:
-        raise SingularSystem(
-            f"CG stopped at {maxiter} iterations with relative residual {np.sqrt(rs) / bnorm:.3e}"
-        )
-    return x
-
-
-def _solve_weak_form(L, b):
-    """Solve L v = b for the singular PSD weak form (consistent rhs)."""
-    if L.shape[0] <= DENSE_SOLVE_LIMIT:
-        v, *_ = np.linalg.lstsq(L, b, rcond=None)
-        return v
-    return _cg(lambda x: L @ x, b)
-
-
 def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
     """Solve for the energy element whose Laplacian is an indicator difference.
 
@@ -171,11 +133,13 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
     kind "nu":  Delta v = c * (chi_A - chi_B) (requires nu(A) = nu(B)).
 
     Without a boundary the stated mass balance is necessary on a finite
-    space (the Laplacian image integrates to zero against mu); the balance
-    must also hold per support component, otherwise the system is
-    inconsistent.  With a Dirichlet boundary the balance condition is
-    dropped and the solve is restricted to the interior with the solution
-    pinned to zero on the boundary.
+    space (the Laplacian image integrates to zero against mu) and must hold
+    per support component.  The singular weak form is then grounded: the
+    last state of each component is pinned to zero and the rest solved as a
+    Dirichlet problem, exact because each component's rows sum to zero.
+    Subtracting each component's mean gives the minimum-norm solution,
+    returned canonicalized.  With a Dirichlet boundary the balance condition
+    is dropped and the solution is pinned to zero on the boundary.
     """
     if kind not in ("mu", "nu"):
         raise DimensionMismatch(f"kind must be 'mu' or 'nu', got {kind!r}")
@@ -186,29 +150,34 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
     b = weight * chi
     target = chi if kind == "mu" else net.c * chi
 
-    if boundary is None:
+    free = boundary is None
+    if free:
         scale = max(1.0, float(np.sum(np.abs(b))))
         if abs(float(np.sum(b))) > BALANCE_ATOL * scale:
             name = "mu" if kind == "mu" else "nu"
             raise UnbalancedSets(f"{name}(A) != {name}(B); dipole has no solution")
-        for comp in components(net):
-            if abs(float(np.sum(b[list(comp)]))) > BALANCE_ATOL * scale:
+        comps = [list(comp) for comp in components(net)]
+        for comp in comps:
+            if abs(float(np.sum(b[comp]))) > BALANCE_ATOL * scale:
                 raise SingularSystem(
                     "sets meet distinct components; system is inconsistent"
                 )
-        v = _solve_weak_form(laplacian_matrix(net), b)
-        elem = canonicalize(net, v)
-        res = np.linalg.norm(apply_Delta(net, elem.values) - target)
-        residual = float(res / (1.0 + np.linalg.norm(target)))
-        return DipoleSolution(elem, kind, A, B, residual)
+        boundary = [comp[-1] for comp in comps]
 
     interior = list(boundary_config(net, boundary).interior)
     v = np.zeros(net.n)
     if interior:
         v[interior] = spd_factor(net, interior, net.nu[interior]).solve(b[interior])
-    res_vec = (apply_Delta(net, v) - target)[interior]
+    if free:
+        for comp in comps:
+            v[comp] -= np.mean(v[comp])
+        elem = canonicalize(net, v)
+        res_vec = apply_Delta(net, elem.values) - target
+    else:
+        elem = EnergyElement(v, False)
+        res_vec = (apply_Delta(net, v) - target)[interior]
     residual = float(np.linalg.norm(res_vec) / (1.0 + np.linalg.norm(target)))
-    return DipoleSolution(EnergyElement(v, False), kind, A, B, residual)
+    return DipoleSolution(elem, kind, A, B, residual)
 
 
 def mu_f(net: Network, f, A) -> float:

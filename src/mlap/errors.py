@@ -49,9 +49,8 @@ class UnbalancedSets(ValidationError):
 class SingularSystem(ValidationError):
     """Linear system has no reliable solution.
 
-    Raised for dipole sets that meet distinct components, for a system matrix
-    that is not positive definite, and for an iterative solve that stops
-    above its tolerance.
+    Raised for dipole sets that meet distinct components and for a system
+    matrix that is not positive definite.
     """
 
 

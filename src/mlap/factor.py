@@ -6,7 +6,8 @@ Every linear system the package solves directly has the form
 
 with ``d > 0`` large enough that ``A`` is symmetric positive definite:
 the killed chain's interior weak form ``diag(nu_int) - W_int`` (Green
-columns, killed kernels, Dirichlet dipoles) and the regression system
+columns, killed kernels, Dirichlet dipoles), the same form grounded at one
+state per component (dipoles without a boundary) and the regression system
 ``diag(mu + gamma * nu) - gamma * W``.  :func:`spd_factor` factors ``A``
 once; the returned object's ``solve(B)`` applies ``A^{-1}`` to a vector or
 to the columns of a matrix, and ``lowest_eigenvalue(scale)`` returns the

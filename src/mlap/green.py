@@ -76,7 +76,7 @@ class KilledRestriction:
 
     @cached_property
     def P_int(self) -> np.ndarray:
-        """Interior restriction of P; only the series cross-checks read it."""
+        """Interior restriction of P; only :meth:`neumann` reads it, never the factor."""
         idx = list(self.config.interior)
         return self.net.W[np.ix_(idx, idx)] / self.net.nu[idx][:, None]
 
@@ -84,6 +84,35 @@ class KilledRestriction:
         """``(I - P_int)^{-1} B = L_int^{-1} diag(nu_int) B`` for a k x m matrix ``B``."""
         nu_int = self.net.nu[list(self.config.interior)]
         return self.factor.solve(nu_int[:, None] * B)
+
+    def neumann(self, tol: float) -> np.ndarray:
+        """Truncated Neumann series ``sum_{n<N} P_int^n``: ``G`` by a route apart from the factor.
+
+        Doubling, ``S <- S + Q S`` and ``Q <- Q Q`` with ``Q = P_int^N``, stops
+        at the first ``N`` whose tail bound ``max|P_int^N| / (1 - r)`` is below
+        ``tol``.  Raises :class:`TrappedInterior` when the bound ``r^N * r / (1 - r)``
+        needs more than ``NEUMANN_MAX_TERMS`` terms, or when the tail is still
+        above ``tol`` once ``N`` reaches the first power of two at or above that cap.
+        """
+        if not tol > 0.0:
+            raise DimensionMismatch("tol must be positive")
+        r = self.spectral_radius
+        if r > 0.0 and math.log(tol * (1.0 - r) / r) / math.log(r) > NEUMANN_MAX_TERMS:
+            raise TrappedInterior(
+                f"Neumann series needs more than {NEUMANN_MAX_TERMS} terms at radius {r}"
+            )
+        S = np.eye(len(self.config.interior))
+        Q = self.P_int
+        N = 1
+        while (tail := float(np.max(Q, initial=0.0)) / (1.0 - r)) >= tol:
+            if N >= NEUMANN_MAX_TERMS:
+                raise TrappedInterior(
+                    f"Neumann series stopped at {N} terms with tail bound {tail:.3e}"
+                )
+            S = S + Q @ S
+            Q = Q @ Q
+            N *= 2
+        return S
 
 
 def killed_restriction(net: Network, boundary) -> KilledRestriction:
@@ -110,39 +139,15 @@ def green_operator(net: Network, boundary, method: str = "solve", tol: float = 1
     """Green matrix ``(I - P_int)^{-1}`` on the interior.
 
     ``method`` is "solve" (the killed chain's factorization) or "neumann"
-    (partial sums accumulated until the geometric tail bound drops below
-    ``tol``); both agree entrywise and all entries are nonnegative.  The Neumann series
-    raises :class:`TrappedInterior` when the bound ``r^N * r / (1 - r)``
-    needs more than ``NEUMANN_MAX_TERMS`` terms to reach ``tol``, and when
-    the tail bound is still above ``tol`` after that many terms.
+    (:meth:`KilledRestriction.neumann`, truncated at tail bound ``tol``);
+    both agree entrywise and all entries are nonnegative.
     """
-    killed = killed_restriction(net, boundary)
-    k = len(killed.config.interior)
-    if k == 0:
-        return np.zeros((0, 0))
-    if method == "solve":
-        return killed.green(np.eye(k))
-    if method != "neumann":
+    if method not in ("solve", "neumann"):
         raise DimensionMismatch(f"method must be 'solve' or 'neumann', got {method!r}")
-    if not tol > 0.0:
-        raise DimensionMismatch("tol must be positive")
-    r = killed.spectral_radius
-    if r > 0.0 and math.log(tol * (1.0 - r) / r) / math.log(r) > NEUMANN_MAX_TERMS:
-        raise TrappedInterior(
-            f"Neumann series needs more than {NEUMANN_MAX_TERMS} terms at radius {r}"
-        )
-    G = np.eye(k)
-    term = np.eye(k)
-    for _ in range(NEUMANN_MAX_TERMS):
-        term = term @ killed.P_int
-        G = G + term
-        # tail of the series is bounded by ||term|| * r / (1 - r)
-        tail = np.max(np.abs(term)) * r / (1.0 - r)
-        if tail < tol:
-            return G
-    raise TrappedInterior(
-        f"Neumann series stopped at {NEUMANN_MAX_TERMS} terms with tail bound {tail:.3e}"
-    )
+    killed = killed_restriction(net, boundary)
+    if method == "neumann":
+        return killed.neumann(tol)
+    return killed.green(np.eye(len(killed.config.interior)))
 
 
 def _interior_family(net: Network, family, cfg: BoundaryConfig) -> tuple:
@@ -225,7 +230,7 @@ def isometry_suite(net: Network, boundary, family) -> dict:
     s = np.sqrt(net.nu[idx])
     S = net.W[np.ix_(idx, idx)] / np.outer(s, s)
     evals, evecs = np.linalg.eigh(np.eye(len(idx)) - S)
-    inv_sqrt_sym = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+    inv_sqrt_sym = (evecs * (1.0 / np.sqrt(evals))) @ evecs.T
     half = inv_sqrt_sym @ (s[:, None] * X[:, idx].T)  # columns D^{1/2} (I-P)^{-1/2} chi_A
 
     three = np.array([np.diag(gram), np.diag(energies), np.sum(half * half, axis=0)])

@@ -32,6 +32,11 @@ from .net import Network, build_network
 SCHEMA = "mlap-net/1"
 
 
+def _is_id(x) -> bool:
+    """State ids are strings or numbers; JSON booleans are not numbers."""
+    return isinstance(x, (str, int, float)) and not isinstance(x, bool)
+
+
 def _edges_to_matrix(n, index, edges):
     W = np.zeros((n, n))
     seen = set()
@@ -40,13 +45,14 @@ def _edges_to_matrix(n, index, edges):
             i, j, w = e["i"], e["j"], float(e["w"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed edge entry {e!r}", reason="MalformedEdge") from exc
-        if i not in index or j not in index:
-            raise ParseError(f"edge references unknown state: {e!r}", reason="UnknownState")
+        try:
+            a, b = index[i], index[j]
+        except (KeyError, TypeError):  # TypeError: an unhashable id such as a list
+            raise ParseError(f"edge references unknown state: {e!r}", reason="UnknownState") from None
         if not np.isfinite(w):
             raise ParseError(f"edge weight is not finite: {e!r}", reason="NonFiniteWeight")
         if w < 0.0:
             raise ParseError(f"edge weight is negative: {e!r}", reason="NegativeWeight")
-        a, b = index[i], index[j]
         key = (min(a, b), max(a, b))
         if key in seen:
             raise ParseError(f"duplicate undirected edge ({i}, {j})", reason="DuplicateEdge")
@@ -57,13 +63,19 @@ def _edges_to_matrix(n, index, edges):
 
 
 def _network_from_parts(states, mu, edges, boundary_ids):
+    if not all(_is_id(s) for s in states):
+        raise ParseError("state ids must be strings or numbers", reason="MalformedStates")
     index = {s: k for k, s in enumerate(states)}
     if len(index) != len(states):
         raise ParseError("duplicate state id", reason="DuplicateState")
+    if not isinstance(edges, list):
+        raise ParseError("edges must be a JSON list", reason="MalformedEdge")
     W = _edges_to_matrix(len(states), index, edges)
     bidx = None
     if boundary_ids is not None:
-        missing = [b for b in boundary_ids if b not in index]
+        if not isinstance(boundary_ids, list):
+            raise ParseError("boundary must be a JSON list of state ids", reason="MalformedBoundary")
+        missing = [b for b in boundary_ids if not (_is_id(b) and b in index)]
         if missing:
             raise ParseError(f"boundary references unknown states {missing}", reason="UnknownState")
         bidx = [index[b] for b in boundary_ids]
@@ -103,7 +115,10 @@ def _load_csv(path: str) -> Network:
     if not rows or set(rows[0]) != {"id", "mu"}:
         raise ParseError(f"sidecar must have header id,mu: {sidecar}", reason="MalformedStates")
     states = tuple(r["id"] for r in rows)
-    mu = [float(r["mu"]) for r in rows]
+    try:
+        mu = [float(r["mu"]) for r in rows]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"sidecar mu is not a number: {exc}", reason="MalformedStates") from None
     with open(path, newline="") as fh:
         edge_rows = list(csv.DictReader(fh))
     if edge_rows and set(edge_rows[0]) != {"i", "j", "w"}:

@@ -128,7 +128,7 @@ def _suite_operators(net: Network, rng, tol, rep: Report) -> None:
     rep.check("coupling-op-of-ones", float(np.max(np.abs(op.apply_R(net, ones) - net.c))), 1e-12 * max(1.0, float(np.max(net.c))))
     rep.check("markov-fixes-constants", float(np.max(np.abs(op.apply_P(net, ones) - 1.0))), 1e-12)
     rep.check("laplacian-kills-constants", float(np.max(np.abs(op.apply_Delta(net, ones)))), 1e-12 * max(1.0, float(np.max(net.c))))
-    L = np.diag(net.mu) @ (net.c[:, None] * (np.eye(net.n) - net.P))
+    L = net.mu[:, None] * (net.c[:, None] * (np.eye(net.n) - net.P))
     rep.check("weak-form-symmetric", float(np.max(np.abs(L - L.T))), 1e-12 * max(1.0, float(np.max(np.abs(L)))))
     worst_pair = worst_mean = worst_contr = worst_l1 = worst_rmass = 0.0
     worst_iota = worst_j = worst_mass = worst_iota_bound = 0.0
@@ -409,19 +409,17 @@ def _suite_rkhs(net: Network, rng, tol, rep: Report) -> None:
 
 
 def _truncated_series_gram(net: Network, killed, fam) -> np.ndarray:
+    """``K`` over ``fam`` from the doubling Neumann series, apart from the factor.
+
+    The series stops once its tail bound is below ``1e-13 / (max nu_int * k)``;
+    a Gram entry, a ``nu``-weighted sum of at most ``k^2`` series entries, is
+    then truncated by at most about ``k * 1e-13``.
+    """
     idx = list(killed.config.interior)
     nu_int = net.nu[idx]
     chis = en.incidence(net, fam)[:, idx]
-    r = killed.spectral_radius
-    gram = np.zeros((len(fam), len(fam)))
-    term = chis.T.copy()  # columns chi_B
-    scale = float(np.max(nu_int)) * len(idx)
-    for _ in range(100000):
-        gram += (chis * nu_int) @ term
-        term = killed.P_int @ term
-        if float(np.max(np.abs(term))) * scale * r / (1.0 - r) < 1e-13:
-            break
-    return gram
+    tol = 1e-13 / (float(np.max(nu_int)) * len(idx))
+    return (chis * nu_int) @ killed.neumann(tol) @ chis.T
 
 
 def _suite_learn(net: Network, rng, tol, rep: Report) -> None:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import mlap
 from mlap import SingularSystem, UnbalancedSets
-from mlap.energy import DENSE_SOLVE_LIMIT, _cg, _solve_weak_form, indicator
+from mlap import factor
+from mlap.energy import canonicalize, indicator
 
-from conftest import all_subsets, energy_double_sum
+from conftest import all_subsets, energy_double_sum, valid_networks
 
 
 def test_energy_inner_triangle_indicator(tri):
@@ -259,8 +261,8 @@ def test_norm_bounds_random(any_net, rng):
         assert report["slack_defect_bound"] >= -1e-12 * scale
 
 
-def test_dipole_large_ring_uses_iterative_path():
-    # above the dense-factorization cutoff the weak form is solved by CG
+def test_dipole_large_ring_is_solved_by_grounding():
+    # the free weak form is grounded at one state and factored like a Dirichlet system
     n = 600
     W = np.zeros((n, n))
     for i in range(n):
@@ -286,10 +288,16 @@ def test_indicator_gram_matches_pair_loop_reference(any_net, rng):
     np.testing.assert_array_equal(gram, gram.T)
 
 
-def test_weak_form_cg_branch_matches_lstsq():
-    # above DENSE_SOLVE_LIMIT the singular weak form is solved by conjugate gradients
+def _lstsq_dipole(net, kind, A, B):
+    """Canonicalized minimum-norm solution of the free weak form by least squares."""
+    weight = net.mu if kind == "mu" else net.nu
+    b = weight * (indicator(net, A) - indicator(net, B))
+    v, *_ = np.linalg.lstsq(mlap.laplacian_matrix(net), b, rcond=None)
+    return canonicalize(net, v).values
+
+
+def test_free_dipole_sparse_branch_matches_lstsq():
     n = 600
-    assert n > DENSE_SOLVE_LIMIT
     rng = np.random.default_rng(5)
     W = np.zeros((n, n))
     ring = np.arange(n)
@@ -297,25 +305,39 @@ def test_weak_form_cg_branch_matches_lstsq():
     chords = rng.permutation(n).reshape(-1, 2)
     W[chords[:, 0], chords[:, 1]] = rng.uniform(0.5, 2.0, n // 2)
     net = mlap.build_network(range(n), np.ones(n), W + W.T)
-    L = mlap.laplacian_matrix(net)
-    b = rng.standard_normal(n)
-    b -= b.mean()  # consistent right-hand side on a connected network
-    got = _solve_weak_form(L, b)
-    want, *_ = np.linalg.lstsq(L, b, rcond=None)
-    np.testing.assert_allclose(got - got.mean(), want - want.mean(), atol=1e-9 * np.max(np.abs(want)))
-    sol = mlap.dipole(net, "mu", [0], [n // 2])
-    assert sol.residual <= 1e-9
+    assert net.nnz <= factor.SPARSE_FILL * (n - 1) ** 2  # the grounded system factors sparsely
+    for A, B in (([0], [n // 2]), ([0, 5, 9], [100, 200, 300])):
+        sol = mlap.dipole(net, "mu", A, B)
+        want = _lstsq_dipole(net, "mu", A, B)
+        assert sol.v.canonical
+        np.testing.assert_allclose(sol.v.values, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        assert sol.residual <= 1e-12
 
 
-def test_cg_raises_when_it_stops_above_tolerance():
-    n = 40
-    W = np.zeros((n, n))
-    ring = np.arange(n)
-    W[ring, (ring + 1) % n] = 1.0
-    net = mlap.build_network(range(n), np.ones(n), W + W.T)
-    L = mlap.laplacian_matrix(net)
-    b = indicator(net, [0]) - indicator(net, [n // 2])
-    with pytest.raises(SingularSystem, match="3 iterations"):
-        _cg(lambda x: L @ x, b, maxiter=3)
-    v = _cg(lambda x: L @ x, b)
-    assert np.linalg.norm(L @ v - b) <= 1e-12 * np.linalg.norm(b)
+@settings(max_examples=80, deadline=None)
+@given(valid_networks())
+def test_free_dipole_matches_lstsq_on_random_networks(case):
+    net, rng = case
+    comps = [list(c) for c in mlap.components(net) if len(c) > 1]
+    assume(comps)
+    comp = comps[rng.integers(len(comps))]
+    take = rng.permutation(comp)
+    split = int(rng.integers(1, len(comp)))
+    A, B = sorted(take[:split].tolist()), sorted(take[split:].tolist())
+    # rescale mu on B so that mu(A) = mu(B): the sets balance on their component
+    mu = net.mu.copy()
+    mu[B] *= mu[A].sum() / mu[B].sum()
+    net = mlap.build_network(net.states, mu, net.W)
+    sol = mlap.dipole(net, "mu", A, B)
+    want = _lstsq_dipole(net, "mu", A, B)
+    np.testing.assert_allclose(sol.v.values, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_free_dipole_on_a_numerically_disconnected_component_raises():
+    # W[1, 2] = 1e-300 joins state 2 to the others on the support, but vanishes
+    # next to nu_1 in floating point: the grounded system is singular
+    W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1e-300], [0.0, 1e-300, 1.0]])
+    net = mlap.build_network(range(3), np.ones(3), W)
+    assert len(mlap.components(net)) == 1
+    with pytest.raises(SingularSystem):
+        mlap.dipole(net, "mu", [0], [2])

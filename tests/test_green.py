@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import mlap
 from mlap import (
@@ -9,7 +10,9 @@ from mlap import (
     TrappedInterior,
 )
 from mlap.energy import indicator
-from mlap.suites import default_boundary
+from mlap.suites import _truncated_series_gram, default_boundary
+
+from conftest import valid_networks
 
 
 def test_killed_restriction_path_eigenvalue_oracle(path):
@@ -298,16 +301,47 @@ def test_neumann_refuses_a_series_beyond_the_term_cap():
 
 
 def test_neumann_reports_a_series_stopped_unconverged(path, monkeypatch):
-    # radius sqrt(1/2): the geometric bound predicts 82.3 terms for tol 1e-12,
-    # but the entries of P_int^N decay only as 2^(-N/2) steps, so 84 are needed
+    # radius sqrt(1/2): the geometric bound predicts 63.4 terms for tol 7e-10,
+    # but the entries of P_int^N decay only as 2^(-N/2) steps, and 64 terms
+    # leave a tail bound of 7.9e-10; doubling reaches 128 once the cap exceeds 64
     import mlap.green as gr
 
-    monkeypatch.setattr(gr, "NEUMANN_MAX_TERMS", 83)
-    with pytest.raises(TrappedInterior, match="stopped"):
-        mlap.green_operator(path, [2], "neumann", tol=1e-12)
-    monkeypatch.setattr(gr, "NEUMANN_MAX_TERMS", 84)
-    G = mlap.green_operator(path, [2], "neumann", tol=1e-12)
+    monkeypatch.setattr(gr, "NEUMANN_MAX_TERMS", 64)
+    with pytest.raises(TrappedInterior, match="stopped at 64 terms"):
+        mlap.green_operator(path, [2], "neumann", tol=7e-10)
+    monkeypatch.setattr(gr, "NEUMANN_MAX_TERMS", 65)
+    G = mlap.green_operator(path, [2], "neumann", tol=7e-10)
     np.testing.assert_allclose(G, [[2.0, 2.0], [1.0, 2.0]], atol=1e-11)
+
+
+def test_truncated_series_gram_raises_beyond_the_term_cap(path, monkeypatch):
+    import mlap.green as gr
+
+    killed = mlap.killed_restriction(path, [2])
+    want = mlap.kernel_gram(path, "K", [[0], [0, 1]], [2]).gram
+    np.testing.assert_allclose(_truncated_series_gram(path, killed, [[0], [0, 1]]), want, atol=1e-12)
+    monkeypatch.setattr(gr, "NEUMANN_MAX_TERMS", 64)
+    with pytest.raises(TrappedInterior):
+        _truncated_series_gram(path, killed, [[0], [0, 1]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_networks())
+def test_series_routes_match_the_solve_on_random_networks(case):
+    net, rng = case
+    bnd = default_boundary(net)
+    G = mlap.green_operator(net, bnd, "solve")
+    Gn = mlap.green_operator(net, bnd, "neumann", tol=1e-12)
+    assert Gn.shape == G.shape
+    if G.size:
+        np.testing.assert_allclose(Gn, G, rtol=0, atol=1e-10 * np.max(np.abs(G)))
+    interior = list(mlap.boundary_config(net, bnd).interior)
+    if not interior:
+        return
+    fam = [[i for i in interior if rng.random() < 0.5] or [interior[0]] for _ in range(4)]
+    kgram = mlap.kernel_gram(net, "K", fam, bnd).gram
+    trunc = _truncated_series_gram(net, mlap.killed_restriction(net, bnd), fam)
+    np.testing.assert_allclose(trunc, kgram, rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(kgram))))
 
 
 def test_nrho_matches_per_pair_green_energies(any_net, rng):

@@ -129,6 +129,48 @@ def test_load_csv_missing_sidecar(tmp_path):
         load_network(str(tmp_path / "solo.csv"))
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        (dict(BASE, edges=5), "MalformedEdge"),
+        (dict(BASE, states=[{"id": ["a"], "mu": 1.0}, {"id": "b", "mu": 1.0}]), "MalformedStates"),
+        (dict(BASE, states=[{"id": True, "mu": 1.0}, {"id": "b", "mu": 1.0}]), "MalformedStates"),
+        (dict(BASE, edges=[{"i": ["a"], "j": "b", "w": 1.0}]), "UnknownState"),
+        (dict(BASE, boundary=[["a"]]), "UnknownState"),
+    ],
+)
+def test_load_rejects_malformed_blocks(tmp_path, capsys, doc, reason):
+    path = _write(tmp_path, doc)
+    with pytest.raises(ParseError) as info:
+        load_network(path)
+    assert info.value.reason == reason
+    assert main(["--net", path, "inspect"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_load_rejects_a_string_boundary(tmp_path, capsys):
+    # a string is iterable: "ab" must not be read as the boundary ["a", "b"]
+    doc = dict(BASE, states=BASE["states"] + [{"id": "ab", "mu": 1.0}],
+               edges=BASE["edges"] + [{"i": "b", "j": "ab", "w": 1.0}], boundary="ab")
+    path = _write(tmp_path, doc)
+    with pytest.raises(ParseError) as info:
+        load_network(path)
+    assert info.value.reason == "MalformedBoundary"
+    assert main(["--net", path, "inspect"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_load_csv_rejects_a_non_numeric_mu(tmp_path, capsys):
+    (tmp_path / "net.states.csv").write_text("id,mu\na,x\nb,2.0\n")
+    (tmp_path / "net.csv").write_text("i,j,w\na,b,3.0\n")
+    path = str(tmp_path / "net.csv")
+    with pytest.raises(ParseError) as info:
+        load_network(path)
+    assert info.value.reason == "MalformedStates"
+    assert main(["--net", path, "inspect"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -361,6 +403,12 @@ def test_network_document_edges_match_loop_reference(rng):
         ["green", "--method", "neumann", "--tol", "nan"],
         ["--tol", "0", "suite", "--suite", "core"],
         ["suite", "--suite", "core", "--tol=-1e-10"],
+        # argparse usage errors
+        ["suite", "--suite", "core", "--tol", "-1e-10"],
+        ["learn", "--gamma", "x", "--target", "[1,0,0]"],
+        ["learn", "--target", "[1,0,0]"],
+        ["bogus"],
+        [],
     ],
 )
 def test_cli_bad_input_is_a_one_line_validation_error(fixture_dir, capsys, argv):
@@ -386,6 +434,14 @@ def test_cli_malformed_sets_file(fixture_dir, tmp_path, capsys, text):
     code = main(["--net", str(fixture_dir / "path3.json"), "kernel", "--kind", "K", "--sets", str(sets)])
     assert code == 1
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["learn", "--help"]])
+def test_cli_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mlap")
 
 
 def test_cli_largest_seed_is_accepted(fixture_dir, capsys):
