@@ -70,6 +70,7 @@ from .net import (
     build_network,
     components,
     derive,
+    index_set,
     irreducibility,
     reweight,
     symmetrize,

@@ -1,8 +1,11 @@
 """Command-line surface: one binary, one subcommand per task.
 
-Exit codes: 0 success, 1 validation error, 2 identity failure, 3 I/O error.
-All randomness sits behind ``--seed``; JSON output serializes floats with
-full precision for bit-faithful round trips.
+``main`` is the one pipeline: it parses and checks the flags, loads the
+network once (every command but ``fixtures``), calls a ``cmd_*`` function of
+``(net, args)`` that only returns its JSON payload, stamps the network
+checksum once and emits once.  Exit codes: 0 success, 1 validation error,
+2 a suite that failed, 3 I/O error.  All randomness sits behind ``--seed``;
+JSON output serializes floats with full precision for bit-faithful round trips.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _family_arg(net, path):
 
 def _emit(payload, args):
     text = json.dumps(payload, sort_keys=True) + "\n"
-    if getattr(args, "format", "json") == "csv" and "results" in payload:
+    if args.format == "csv" and "results" in payload:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "residual", "tol", "passed"])
@@ -83,39 +86,24 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
-def _load(args):
-    if not args.net:
-        raise ValidationError("this command requires --net PATH")
-    return load_network(args.net)
-
-
-def cmd_inspect(args):
-    net = _load(args)
+def cmd_inspect(net, args):
     irr = irreducibility(net)
-    spec = op.spectrum_P(net)
-    _emit(
-        {
-            "checksum": network_checksum(net),
-            "n": net.n,
-            "states": [str(s) for s in net.states],
-            "mu_total": float(np.sum(net.mu)),
-            "coupling_total": float(np.sum(net.W)),
-            "conductance": net.c.tolist(),
-            "stationary": net.nu.tolist(),
-            "irreducible": irr.irreducible,
-            "components": [list(c) for c in irr.components],
-            "spectrum": spec.tolist(),
-            "boundary": [str(net.states[i]) for i in (net.boundary or ())],
-        },
-        args,
-    )
-    return 0
+    return {
+        "n": net.n,
+        "states": [str(s) for s in net.states],
+        "mu_total": float(np.sum(net.mu)),
+        "coupling_total": float(np.sum(net.W)),
+        "conductance": net.c.tolist(),
+        "stationary": net.nu.tolist(),
+        "irreducible": irr.irreducible,
+        "components": [list(c) for c in irr.components],
+        "spectrum": op.spectrum_P(net).tolist(),
+        "boundary": [str(net.states[i]) for i in (net.boundary or ())],
+    }
 
 
-def cmd_operators(args):
-    net = _load(args)
+def cmd_operators(net, args):
     payload = {
-        "checksum": network_checksum(net),
         "spectrum": op.spectrum_P(net).tolist(),
         "harmonic_dimension": int(len(op.harmonic_basis(net))),
     }
@@ -124,71 +112,49 @@ def cmd_operators(args):
         payload["Rf"] = op.apply_R(net, f).tolist()
         payload["Pf"] = op.apply_P(net, f).tolist()
         payload["Delta_f"] = op.apply_Delta(net, f).tolist()
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def cmd_energy(args):
-    net = _load(args)
+def cmd_energy(net, args):
     f = _vector_arg(net, args.f, "f")
     g = _vector_arg(net, args.g, "g") if args.g is not None else f
-    payload = {
-        "checksum": network_checksum(net),
-        "inner": en.energy_inner(net, f, g),
-        "norms": en.norm_bounds_report(net, f),
-    }
-    _emit(payload, args)
-    return 0
+    return {"inner": en.energy_inner(net, f, g), "norms": en.norm_bounds_report(net, f)}
 
 
-def cmd_dipole(args):
-    net = _load(args)
+def cmd_dipole(net, args):
     A = _set_arg(net, args.A)
     B = _set_arg(net, args.B)
     boundary = list(net.boundary) if (args.use_boundary and net.boundary) else None
     if args.boundary:
         boundary = _set_arg(net, args.boundary)
     sol = en.dipole(net, args.kind, A, B, boundary=boundary)
-    _emit(
-        {
-            "checksum": network_checksum(net),
-            "kind": sol.kind,
-            "A": list(sol.A),
-            "B": list(sol.B),
-            "values": sol.v.values.tolist(),
-            "canonical": sol.v.canonical,
-            "residual": sol.residual,
-        },
-        args,
-    )
-    return 0
+    return {
+        "kind": sol.kind,
+        "A": list(sol.A),
+        "B": list(sol.B),
+        "values": sol.v.values.tolist(),
+        "canonical": sol.v.canonical,
+        "residual": sol.residual,
+    }
 
 
-def cmd_decompose(args):
-    net = _load(args)
+def cmd_decompose(net, args):
     f = _vector_arg(net, args.f, "f")
     parts = en.royden_project(net, f)
-    _emit(
-        {
-            "checksum": network_checksum(net),
-            "d": parts["d"].values.tolist(),
-            "h": parts["h"].values.tolist(),
-            "energy_f": en.energy_inner(net, f, f),
-            "energy_d": en.energy_inner(net, parts["d"].values, parts["d"].values),
-        },
-        args,
-    )
-    return 0
+    return {
+        "d": parts["d"].values.tolist(),
+        "h": parts["h"].values.tolist(),
+        "energy_f": en.energy_inner(net, f, f),
+        "energy_d": en.energy_inner(net, parts["d"].values, parts["d"].values),
+    }
 
 
-def cmd_sample(args):
-    net = _load(args)
+def cmd_sample(net, args):
     batch = pa.sample_paths(net, args.seed, args.steps, args.paths, args.start)
     counts, visits = pa.transition_counts(net, batch)
     rows = visits[:, None]
     emp = np.divide(counts, rows, out=np.zeros_like(counts), where=rows > 0)
     payload = {
-        "checksum": network_checksum(net),
         "seed": batch.seed,
         "steps": batch.steps,
         "paths": batch.count,
@@ -201,30 +167,21 @@ def cmd_sample(args):
         with open(args.dump, "w", newline="") as fh:
             csv.writer(fh).writerows(ids[batch.paths].tolist())
         payload["dump"] = args.dump
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def cmd_green(args):
-    net = _load(args)
+def cmd_green(net, args):
     boundary = _set_arg(net, args.boundary) if args.boundary else default_boundary(net)
     killed = gr.killed_restriction(net, boundary)
-    G = gr.green_operator(net, boundary, args.method, tol=args.tol)
-    _emit(
-        {
-            "checksum": network_checksum(net),
-            "boundary": [str(net.states[i]) for i in killed.config.boundary],
-            "interior": [str(net.states[i]) for i in killed.config.interior],
-            "spectral_radius": killed.spectral_radius,
-            "green": G.tolist(),
-        },
-        args,
-    )
-    return 0
+    return {
+        "boundary": [str(net.states[i]) for i in killed.config.boundary],
+        "interior": [str(net.states[i]) for i in killed.config.interior],
+        "spectral_radius": killed.spectral_radius,
+        "green": killed.operator(args.method, args.tol).tolist(),
+    }
 
 
-def cmd_kernel(args):
-    net = _load(args)
+def cmd_kernel(net, args):
     kernel_id = KERNEL_ALIASES.get(args.kind)
     if kernel_id is None:
         raise ValidationError(f"--kind must be one of {sorted(KERNEL_ALIASES)}")
@@ -233,50 +190,40 @@ def cmd_kernel(args):
     if kernel_id in ("K", "N_rho"):
         boundary = _set_arg(net, args.boundary) if args.boundary else default_boundary(net)
     gram = gr.kernel_gram(net, kernel_id, family, boundary)
-    _emit(
-        {
-            "checksum": network_checksum(net),
-            "kernel_id": gram.kernel_id,
-            "family": [list(A) for A in gram.family],
-            "gram": gram.gram.tolist(),
-        },
-        args,
-    )
-    return 0
+    return {
+        "kernel_id": gram.kernel_id,
+        "family": [list(A) for A in gram.family],
+        "gram": gram.gram.tolist(),
+    }
 
 
-def cmd_learn(args):
-    net = _load(args)
+def cmd_learn(net, args):
     psi = _vector_arg(net, args.target, "target")
-    problem = ln.LearnProblem(net, psi, args.gamma)
-    h = ln.solve_regularized(problem)
+    h = ln.solve_regularized(ln.LearnProblem(net, psi, args.gamma))
     misfit = float(np.sum(net.mu * (psi - h) ** 2))
     penalty = en.energy_inner(net, h, h)
-    _emit(
-        {
-            "checksum": network_checksum(net),
-            "gamma": args.gamma,
-            "h": h.tolist(),
-            "objective": misfit + args.gamma * penalty,
-            "misfit": misfit,
-            "penalty": penalty,
-        },
-        args,
-    )
-    return 0
+    return {
+        "gamma": args.gamma,
+        "h": h.tolist(),
+        "objective": misfit + args.gamma * penalty,
+        "misfit": misfit,
+        "penalty": penalty,
+    }
 
 
-def cmd_suite(args):
-    net = _load(args)
-    report = run_suite(net, args.suite, args.seed, tol=args.tol)
-    _emit(report.to_dict(), args)
-    return 0 if report.passed else 2
+def cmd_suite(net, args):
+    return run_suite(net, args.suite, args.seed).to_dict()
 
 
-def cmd_fixtures(args):
-    written = emit_fixtures(args.dir)
-    _emit({"written": written}, args)
-    return 0
+def cmd_fixtures(net, args):
+    return {"written": emit_fixtures(args.dir)}
+
+
+def _tol(text):
+    tol = float(text)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {tol}")
+    return tol
 
 
 def _add_global_flags(parser, suppress):
@@ -287,8 +234,6 @@ def _add_global_flags(parser, suppress):
     parser.add_argument("--seed", type=int, help="seed for all randomness",
                         **(kw or {"default": 0}))
     parser.add_argument("--out", help="write output to a file instead of stdout", **kw)
-    parser.add_argument("--tol", type=float, help="base tolerance",
-                        **(kw or {"default": 1e-10}))
     parser.add_argument("--format", choices=["json", "csv"],
                         **(kw or {"default": "json"}))
 
@@ -341,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green", parents=[common], help="Green matrix of the killed chain")
     p.add_argument("--boundary", help="comma-separated ids (default: network boundary)")
-    p.add_argument("--method", choices=["solve", "neumann"], default="solve")
+    p.add_argument("--method", choices=gr.GREEN_METHODS, default="solve")
+    p.add_argument("--tol", type=_tol, default=1e-10, help="tail bound of the neumann series")
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("kernel", parents=[common], help="Gram matrix of a set kernel")
@@ -371,9 +317,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if not 0 <= args.seed < 2**64:
             raise ValidationError(f"--seed must lie in [0, 2**64), got {args.seed}")
-        if not (np.isfinite(args.tol) and args.tol > 0.0):
-            raise ValidationError(f"--tol must be finite and > 0, got {args.tol}")
-        return args.func(args)
+        net = None
+        if args.command != "fixtures":
+            if not args.net:
+                raise ValidationError("this command requires --net PATH")
+            net = load_network(args.net)
+        payload = args.func(net, args)
+        if net is not None and "checksum" not in payload:  # a suite report carries its own
+            payload["checksum"] = network_checksum(net)
+        _emit(payload, args)
+        return 0 if payload.get("passed", True) else 2
     except (MlapIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

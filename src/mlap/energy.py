@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem, UnbalancedSets
 from .factor import spd_factor
-from .net import Network, boundary_config, components
+from .net import Network, boundary_config, components, index_set
 from .operators import apply_Delta, apply_P, laplacian_matrix
 
 BALANCE_ATOL = 1e-12
@@ -55,21 +55,16 @@ class KernelGram:
 
 
 def normalize_family(net: Network, family, allow_empty: bool = False) -> tuple:
-    """Validate a family of index subsets; duplicates are permitted."""
-    out = []
-    for A in family:
-        idx = tuple(sorted(set(int(i) for i in A)))
-        if not idx and not allow_empty:
-            raise DimensionMismatch("set family members must be nonempty")
-        if idx and (idx[0] < 0 or idx[-1] >= net.n):
-            raise DimensionMismatch("set family index out of range")
-        out.append(idx)
-    return tuple(out)
+    """Validate a family of index subsets; duplicate sets are permitted."""
+    fam = tuple(index_set(net.n, A, "set family member") for A in family)
+    if not allow_empty and not all(fam):
+        raise DimensionMismatch("set family members must be nonempty")
+    return fam
 
 
 def indicator(net: Network, A) -> np.ndarray:
     chi = np.zeros(net.n)
-    chi[list(A)] = 1.0
+    chi[list(index_set(net.n, A))] = 1.0
     return chi
 
 
@@ -77,7 +72,7 @@ def incidence(net: Network, family) -> np.ndarray:
     """0/1 matrix with one row per set of ``family`` and one column per state."""
     X = np.zeros((len(family), net.n))
     for a, A in enumerate(family):
-        X[a, list(A)] = 1.0
+        X[a, list(index_set(net.n, A))] = 1.0
     return X
 
 
@@ -143,8 +138,8 @@ def dipole(net: Network, kind: str, A, B, boundary=None) -> DipoleSolution:
     """
     if kind not in ("mu", "nu"):
         raise DimensionMismatch(f"kind must be 'mu' or 'nu', got {kind!r}")
-    A = tuple(sorted(set(int(i) for i in A)))
-    B = tuple(sorted(set(int(i) for i in B)))
+    A = index_set(net.n, A, "A")
+    B = index_set(net.n, B, "B")
     chi = indicator(net, A) - indicator(net, B)
     weight = net.mu if kind == "mu" else net.nu
     b = weight * chi

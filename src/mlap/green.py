@@ -56,6 +56,7 @@ from .net import BoundaryConfig, Network, boundary_config
 from .operators import harmonic_basis, laplacian_matrix
 
 KERNEL_IDS = ("K", "k_rho", "K_nu", "N_rho")
+GREEN_METHODS = ("solve", "neumann")
 RADIUS_MARGIN = 1e-12
 NEUMANN_MAX_TERMS = 1000000
 
@@ -84,6 +85,19 @@ class KilledRestriction:
         """``(I - P_int)^{-1} B = L_int^{-1} diag(nu_int) B`` for a k x m matrix ``B``."""
         nu_int = self.net.nu[list(self.config.interior)]
         return self.factor.solve(nu_int[:, None] * B)
+
+    def operator(self, method: str, tol: float) -> np.ndarray:
+        """Green matrix ``(I - P_int)^{-1}`` on the interior.
+
+        ``method`` is "solve" (the factorization) or "neumann" (:meth:`neumann`,
+        truncated at tail bound ``tol``); both agree entrywise and all entries
+        are nonnegative.
+        """
+        if method == "neumann":
+            return self.neumann(tol)
+        if method == "solve":
+            return self.green(np.eye(len(self.config.interior)))
+        raise DimensionMismatch(f"method must be one of {GREEN_METHODS}, got {method!r}")
 
     def neumann(self, tol: float) -> np.ndarray:
         """Truncated Neumann series ``sum_{n<N} P_int^n``: ``G`` by a route apart from the factor.
@@ -136,18 +150,8 @@ def killed_restriction(net: Network, boundary) -> KilledRestriction:
 
 
 def green_operator(net: Network, boundary, method: str = "solve", tol: float = 1e-12) -> np.ndarray:
-    """Green matrix ``(I - P_int)^{-1}`` on the interior.
-
-    ``method`` is "solve" (the killed chain's factorization) or "neumann"
-    (:meth:`KilledRestriction.neumann`, truncated at tail bound ``tol``);
-    both agree entrywise and all entries are nonnegative.
-    """
-    if method not in ("solve", "neumann"):
-        raise DimensionMismatch(f"method must be 'solve' or 'neumann', got {method!r}")
-    killed = killed_restriction(net, boundary)
-    if method == "neumann":
-        return killed.neumann(tol)
-    return killed.green(np.eye(len(killed.config.interior)))
+    """Green matrix ``(I - P_int)^{-1}`` on the interior; see :meth:`KilledRestriction.operator`."""
+    return killed_restriction(net, boundary).operator(method, tol)
 
 
 def _interior_family(net: Network, family, cfg: BoundaryConfig) -> tuple:

@@ -12,7 +12,8 @@ Derived objects: conductance ``c``, stationary measure ``nu = c * mu``
 ``rho_x[i, j] = W[i, j] / mu[i]``.  ``nu``, ``c`` and ``P`` are computed
 once per network, on first use, and cached on it, as are the nonzero count
 and the CSR copy of ``W`` that the sparse solvers read; the support graph
-is walked only by :func:`reachable`.
+is walked only by :func:`reachable`, and every set of state indices is
+checked by :func:`index_set`.
 """
 
 from __future__ import annotations
@@ -169,6 +170,26 @@ def _check_vector(x, n, name) -> np.ndarray:
     return x
 
 
+def index_set(n: int, idx, what: str = "index set") -> tuple:
+    """Sorted distinct state indices of ``idx``.
+
+    Raises :class:`DimensionMismatch` for an entry that is not an integer or
+    lies outside ``range(n)``.
+    """
+    try:
+        a = np.asarray(idx if isinstance(idx, np.ndarray) else list(idx))
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionMismatch(f"{what} must be a list of state indices") from None
+    if a.size == 0:
+        return ()
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise DimensionMismatch(f"{what} must hold integer state indices")
+    out = sorted(set(a.tolist()))
+    if out[0] < 0 or out[-1] >= n:
+        raise DimensionMismatch(f"{what} index out of range [0, {n})")
+    return tuple(out)
+
+
 def build_network(states: Sequence, mu, W, boundary=None) -> Network:
     """Validate inputs and build a :class:`Network`.
 
@@ -183,6 +204,8 @@ def build_network(states: Sequence, mu, W, boundary=None) -> Network:
         ``W`` differs from its transpose beyond tolerance.
     ZeroConductance
         Some row of ``W`` sums to zero.
+    DimensionMismatch
+        The symmetrized ``W`` or one of its row sums overflows to inf.
     NonpositiveMass
         Some ``mu[i] <= 0``.
     """
@@ -205,16 +228,15 @@ def build_network(states: Sequence, mu, W, boundary=None) -> Network:
         raise AsymmetricCoupling(f"W deviates from its transpose by {gap:.3e}")
     if np.any(mu <= 0.0):
         raise NonpositiveMass("all mu atoms must be strictly positive")
-    W = 0.5 * (W + W.T)
-    row = W.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        W = 0.5 * (W + W.T)
+        row = W.sum(axis=1)
+    if not np.all(np.isfinite(row)):  # W >= 0, so an inf entry makes its row inf
+        raise DimensionMismatch("W overflows: a symmetrized coupling or row sum is not finite")
     if np.any(row <= 0.0):
         dead = [states[i] for i in np.flatnonzero(row <= 0.0)]
         raise ZeroConductance(f"states with zero coupling mass: {dead}")
-    bidx = None
-    if boundary is not None:
-        bidx = tuple(sorted(int(i) for i in boundary))
-        if bidx and not (0 <= bidx[0] and bidx[-1] < n):
-            raise DimensionMismatch("boundary indices out of range")
+    bidx = None if boundary is None else index_set(n, boundary, "boundary")
     return Network(states, _readonly(mu), _readonly(W), bidx)
 
 
@@ -284,17 +306,15 @@ def components(net: Network) -> list:
 
 def boundary_config(net: Network, boundary) -> BoundaryConfig:
     """Validate an absorbing boundary; every interior state must reach it."""
-    bidx = sorted(set(int(i) for i in boundary))
+    bidx = index_set(net.n, boundary, "boundary")
     if not bidx:
         raise DimensionMismatch("boundary must be nonempty")
-    if bidx[0] < 0 or bidx[-1] >= net.n:
-        raise DimensionMismatch("boundary index out of range")
     trapped = np.flatnonzero(~reachable(net, bidx)).tolist()
     if trapped:
         raise TrappedInterior(f"interior states cannot reach boundary: {trapped}")
     interior = np.ones(net.n, dtype=bool)
-    interior[bidx] = False
-    return BoundaryConfig(tuple(bidx), tuple(np.flatnonzero(interior).tolist()))
+    interior[list(bidx)] = False
+    return BoundaryConfig(bidx, tuple(np.flatnonzero(interior).tolist()))
 
 
 def irreducibility(net: Network) -> Irreducibility:
@@ -315,11 +335,10 @@ def attainability(net: Network, x: int, A) -> Optional[int]:
     counted on the coupling support, so the answer is exact for the kernel
     powers (positive mass iff a walk of that exact length exists).
     """
-    A = sorted(set(int(i) for i in A))
+    A = list(index_set(net.n, A, "target set"))
     if not A:
         raise EmptyTargetSet("target set is empty")
-    if not (0 <= x < net.n) or A[0] < 0 or A[-1] >= net.n:
-        raise DimensionMismatch("state index out of range")
+    (x,) = index_set(net.n, [x], "start state")
     if not reachable(net, [x])[A].any():
         return None
     adj = net.support().astype(np.int64)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NegativePower
-from .net import Network, components, derive
+from .net import Network, components, derive, index_set
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,11 @@ def rho_n(net: Network, A, B, n: int) -> float:
     """n-step pair mass sum_{i in A} nu_i (P^n chi_B)_i; rho_0 = nu(A & B)."""
     if n < 0:
         raise NegativePower("power index must be >= 0")
-    chi_B = np.zeros(net.n)
-    chi_B[list(B)] = 1.0
-    v = chi_B
+    v = np.zeros(net.n)
+    v[list(index_set(net.n, B, "B"))] = 1.0
     for _ in range(n):
         v = net.P @ v
-    A = list(A)
+    A = list(index_set(net.n, A, "A"))
     return float(np.sum(net.nu[A] * v[A]))
 
 
@@ -150,7 +149,7 @@ def mass_transport_check(net: Network, f, A) -> tuple:
     """
     f = _vec(net, f)
     chi = np.zeros(net.n)
-    chi[list(A)] = 1.0
+    chi[list(index_set(net.n, A))] = 1.0
     lhs = float(np.sum(net.mu * chi * f))
     rhs = float(np.sum(net.mu * apply_R(net, chi * f / net.c)))
     return lhs, rhs

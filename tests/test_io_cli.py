@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mlap
+import mlap.cli
 from mlap import ParseError, SchemaVersionError
 from mlap.cli import main
 from mlap.net import Network
@@ -14,6 +15,7 @@ from mlap.netio import (
     load_network,
     network_checksum,
     network_document,
+    path3,
     save_network,
 )
 from mlap.suites import run_suite
@@ -204,6 +206,20 @@ def test_suite_reports_deterministic(tri):
 def test_suite_unknown_id(tri):
     with pytest.raises(ValueError):
         run_suite(tri, "bogus", seed=0)
+
+
+def test_harmonic_dimension_catches_merged_components(monkeypatch, two_comp):
+    # one fault in ``components`` reaches both the basis and the suite's count;
+    # the spectrum's unit multiplicity still sees two components
+    def merged(net):
+        comps = mlap.components(net)
+        return [tuple(sorted(comps[0] + comps[1]))] + comps[2:]
+
+    assert run_suite(two_comp, "operators", seed=0).passed
+    monkeypatch.setattr(mlap.operators, "components", merged)
+    monkeypatch.setattr(mlap.suites, "components", merged)
+    failed = {r.name for r in run_suite(two_comp, "operators", seed=0).results if not r.passed}
+    assert "harmonic-dimension" in failed
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +415,7 @@ def test_network_document_edges_match_loop_reference(rng):
         ["--seed", str(2**64), "suite", "--suite", "core"],
         ["learn", "--gamma", "nan", "--target", "[1,0,0]"],
         ["learn", "--gamma", "inf", "--target", "[1,0,0]"],
-        ["--tol", "inf", "green", "--method", "neumann"],
+        ["green", "--method", "neumann", "--tol", "inf"],
         ["green", "--method", "neumann", "--tol", "nan"],
         ["--tol", "0", "suite", "--suite", "core"],
         ["suite", "--suite", "core", "--tol=-1e-10"],
@@ -409,6 +425,9 @@ def test_network_document_edges_match_loop_reference(rng):
         ["learn", "--target", "[1,0,0]"],
         ["bogus"],
         [],
+        # --tol belongs to green alone
+        ["--tol", "1e-3", "green"],
+        ["suite", "--suite", "core", "--tol", "1e-3"],
     ],
 )
 def test_cli_bad_input_is_a_one_line_validation_error(fixture_dir, capsys, argv):
@@ -436,7 +455,11 @@ def test_cli_malformed_sets_file(fixture_dir, tmp_path, capsys, text):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["learn", "--help"]])
+SUBCOMMANDS = ("inspect", "operators", "energy", "dipole", "decompose", "sample",
+               "green", "kernel", "suite", "fixtures")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["learn", "--help"]] + [[c, "--help"] for c in SUBCOMMANDS])
 def test_cli_help_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -448,3 +471,71 @@ def test_cli_largest_seed_is_accepted(fixture_dir, capsys):
     code = main(["--net", str(fixture_dir / "triangle.json"), "--seed", str(2**64 - 1),
                  "sample", "--steps", "1", "--paths", "10"])
     assert code == 0
+
+
+@pytest.mark.parametrize("weights", [[1e308], [8e307, 8e307, 8e307]])
+def test_cli_loader_rejects_an_overflowing_coupling(tmp_path, capsys, weights):
+    states = [{"id": str(k), "mu": 1.0} for k in range(len(weights) + 1)]
+    edges = [{"i": "0", "j": str(k + 1), "w": w} for k, w in enumerate(weights)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": "mlap-net/1", "states": states, "edges": edges}))
+    assert main(["--net", str(path), "inspect"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+
+
+PIPELINE_FORMS = {
+    "inspect": ["inspect"],
+    "operators": ["operators", "--f", "[1,0,0]"],
+    "energy": ["energy", "--f", "[1,0,0]", "--g", "[0,1,0]"],
+    "dipole": ["dipole", "--kind", "mu", "--A", "0", "--B", "1"],
+    "decompose": ["decompose", "--f", "[1,0,0]"],
+    "sample": ["sample", "--steps", "2", "--paths", "20"],
+    "green": ["green"],
+    "green-neumann": ["green", "--method", "neumann", "--tol", "1e-9"],
+    "kernel-K": ["kernel", "--kind", "K", "--sets", "SETS"],
+    "kernel-Nrho": ["kernel", "--kind", "Nrho", "--sets", "SETS"],
+    "kernel-krho": ["kernel", "--kind", "krho", "--sets", "SETS"],
+    "learn": ["learn", "--gamma", "1.0", "--target", "[1,0,0]"],
+    "suite": ["suite", "--suite", "all"],
+    "suite-csv": ["--format", "csv", "suite", "--suite", "core"],
+}
+
+
+def _count_calls(monkeypatch, counts, module, name, key):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def pipeline_counts(monkeypatch):
+    counts = {"load": 0, "checksum": 0, "killed": 0}
+    _count_calls(monkeypatch, counts, mlap.cli, "load_network", "load")
+    _count_calls(monkeypatch, counts, mlap.cli, "network_checksum", "checksum")
+    _count_calls(monkeypatch, counts, mlap.suites, "network_checksum", "checksum")
+    _count_calls(monkeypatch, counts, mlap.green, "killed_restriction", "killed")
+    return counts
+
+
+@pytest.mark.parametrize("form", sorted(PIPELINE_FORMS))
+def test_cli_op_loads_once_and_checksums_once(fixture_dir, tmp_path, capsys, pipeline_counts, form):
+    sets = tmp_path / "sets.json"
+    sets.write_text('[["0"], ["0", "1"]]')
+    argv = [str(sets) if a == "SETS" else a for a in PIPELINE_FORMS[form]]
+    assert main(["--net", str(fixture_dir / "path3.json")] + argv) == 0
+    assert (pipeline_counts["load"], pipeline_counts["checksum"]) == (1, 1)
+    if form.startswith("green"):
+        assert pipeline_counts["killed"] == 1
+    if not form.endswith("csv"):
+        assert json.loads(capsys.readouterr().out)["checksum"] == network_checksum(path3())
+
+
+def test_cli_fixtures_loads_and_checksums_nothing(tmp_path, capsys, pipeline_counts):
+    assert main(["fixtures", "--dir", str(tmp_path / "fx")]) == 0
+    assert pipeline_counts == {"load": 0, "checksum": 0, "killed": 0}
+    assert "checksum" not in json.loads(capsys.readouterr().out)

@@ -317,3 +317,22 @@ def test_attainability_matches_networkx(case):
     dist = nx.multi_source_dijkstra_path_length(G, set(A))
     steps = [1 + dist[y] for y in G.neighbors(x) if y in dist]
     assert mlap.attainability(net, x, A) == (min(steps) if steps else None)
+
+
+def test_build_rejects_a_coupling_that_overflows_when_symmetrized():
+    W = np.array([[0.0, 1e308], [1e308, 0.0]])
+    with pytest.raises(DimensionMismatch, match="overflows"):
+        mlap.build_network(("a", "b"), np.ones(2), W)
+
+
+def test_build_rejects_a_row_sum_that_overflows():
+    W = np.zeros((4, 4))
+    W[0, 1:] = W[1:, 0] = 8e307  # each entry and its symmetrization are finite
+    with pytest.raises(DimensionMismatch, match="overflows"):
+        mlap.build_network(range(4), np.ones(4), W)
+
+
+def test_build_stores_extreme_symmetric_weights_bit_for_bit():
+    W = np.array([[5e-324, 8e307, 0.0], [8e307, 0.0, 2.5e-320], [0.0, 2.5e-320, 1e-310]])
+    net = mlap.build_network(range(3), np.ones(3), W)
+    assert np.array_equal(net.W, W)
