@@ -62,7 +62,6 @@ from .learn import (
     solve_regularized,
 )
 from .net import (
-    DerivedMeasures,
     Irreducibility,
     Network,
     ReweightResult,

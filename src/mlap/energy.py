@@ -12,7 +12,6 @@ representative has zero nu-weighted mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class KernelGram:
     kernel_id: str
     family: tuple
     gram: np.ndarray
-    names: Optional[tuple] = None
 
 
 def normalize_family(net: Network, family, allow_empty: bool = False) -> tuple:

@@ -71,7 +71,7 @@ class FamilyTooSmall(ValidationError):
 
 
 class NegativeGamma(ValidationError):
-    """Regularization weight must be nonnegative."""
+    """Regularization weight must be finite, nonnegative and small enough for a finite system."""
 
 
 class SymmetryViolation(ValidationError):

@@ -58,10 +58,14 @@ def solve_regularized(problem: LearnProblem) -> np.ndarray:
     the constant mu-weighted mean of psi on a connected network.  The
     system matrix ``diag(mu + gamma * nu) - gamma * W`` is symmetric
     positive definite for every gamma >= 0; its factorization verifies
-    positive pivots (see :mod:`mlap.factor`).
+    positive pivots (see :mod:`mlap.factor`).  Raises :class:`NegativeGamma`
+    when gamma is so large that the diagonal overflows.
     """
     net = problem.net
-    d = net.mu + problem.gamma * net.nu
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        d = net.mu + problem.gamma * net.nu
+    if not np.all(np.isfinite(d)):
+        raise NegativeGamma(f"gamma {problem.gamma!r} overflows the system diagonal mu + gamma * nu")
     factor = spd_factor(net, np.arange(net.n), d, problem.gamma)
     return factor.solve(net.mu * problem.psi)
 

@@ -3,17 +3,19 @@
 A network is a finite state space with strictly positive atom masses ``mu``
 and a symmetric nonnegative coupling matrix ``W`` whose entry ``W[i, j]``
 is the mass the coupling measure puts on the ordered pair ``(i, j)``.
-Diagonal entries are allowed.  Every row sum must be strictly positive so
-that the conductance ``c = row_sum(W) / mu`` is finite and positive.
+Diagonal entries are allowed.  Every row sum must be strictly positive and
+the conductance ``c = row_sum(W) / mu`` finite and positive; the loader
+checks both.
 
-Derived objects: conductance ``c``, stationary measure ``nu = c * mu``
-(equal to the row sums of ``W``), the row-stochastic transition matrix
-``P[i, j] = W[i, j] / nu[i]``, and the conditional rows
-``rho_x[i, j] = W[i, j] / mu[i]``.  ``nu``, ``c`` and ``P`` are computed
-once per network, on first use, and cached on it, as are the nonzero count
-and the CSR copy of ``W`` that the sparse solvers read; the support graph
-is walked only by :func:`reachable`, and every set of state indices is
-checked by :func:`index_set`.
+:class:`Network` is the one holder of derived state: the conductance ``c``,
+the stationary measure ``nu = c * mu`` (equal to the row sums of ``W``),
+the row-stochastic transition matrix ``P[i, j] = W[i, j] / nu[i]``, the
+nonzero count and the CSR copy of ``W`` that the sparse solvers read are
+computed once per network, on first use, and cached on it; the conditional
+rows ``rho_x[i, j] = W[i, j] / mu[i]`` are built on each access.  The
+support graph is walked one frontier step at a time by :func:`_step`, which
+serves :func:`reachable` and :func:`attainability`, and every set of state
+indices is checked by :func:`index_set`.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ class Network:
         """Transition matrix ``W / nu``; the one n x n array a network caches."""
         return _readonly(self.W / self.nu[:, None])
 
+    @property
+    def rho_x(self) -> np.ndarray:
+        """Conditional rows ``W / mu``, built on each access."""
+        return _readonly(self.W / self.mu[:, None])
+
     @cached_property
     def nnz(self) -> int:
         """Number of nonzero coupling atoms."""
@@ -110,37 +117,6 @@ class Network:
             return self._positions[str(state)]
         except KeyError:
             raise DimensionMismatch(f"unknown state {state!r}") from None
-
-    def support(self) -> np.ndarray:
-        """Boolean adjacency of the coupling support {(i, j): W[i, j] > 0}."""
-        return self.W > 0.0
-
-
-@dataclass(frozen=True)
-class DerivedMeasures:
-    """Conductance, stationary measure, transition matrix and conditional rows.
-
-    ``c``, ``nu`` and ``P`` are the network's cached arrays; ``rho_x`` is
-    built on each access.
-    """
-
-    net: Network
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.net.c
-
-    @property
-    def nu(self) -> np.ndarray:
-        return self.net.nu
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.net.P
-
-    @property
-    def rho_x(self) -> np.ndarray:
-        return _readonly(self.net.W / self.net.mu[:, None])
 
 
 @dataclass(frozen=True)
@@ -203,9 +179,11 @@ def build_network(states: Sequence, mu, W, boundary=None) -> Network:
     AsymmetricCoupling
         ``W`` differs from its transpose beyond tolerance.
     ZeroConductance
-        Some row of ``W`` sums to zero.
+        Some conductance ``row_sum(W) / mu`` is zero: the row sums to zero,
+        or the quotient underflows.
     DimensionMismatch
-        The symmetrized ``W`` or one of its row sums overflows to inf.
+        The symmetrized ``W``, one of its row sums or one conductance
+        overflows to inf.
     NonpositiveMass
         Some ``mu[i] <= 0``.
     """
@@ -230,12 +208,14 @@ def build_network(states: Sequence, mu, W, boundary=None) -> Network:
         raise NonpositiveMass("all mu atoms must be strictly positive")
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned
         W = 0.5 * (W + W.T)
-        row = W.sum(axis=1)
-    if not np.all(np.isfinite(row)):  # W >= 0, so an inf entry makes its row inf
-        raise DimensionMismatch("W overflows: a symmetrized coupling or row sum is not finite")
-    if np.any(row <= 0.0):
-        dead = [states[i] for i in np.flatnonzero(row <= 0.0)]
-        raise ZeroConductance(f"states with zero coupling mass: {dead}")
+        c = W.sum(axis=1) / mu
+    # W >= 0 and mu > 0, so an inf coupling or row sum makes c inf too
+    if not np.all(np.isfinite(c)):
+        bad = [states[i] for i in np.flatnonzero(~np.isfinite(c))]
+        raise DimensionMismatch(f"conductance W / mu overflows at states: {bad}")
+    if np.any(c <= 0.0):  # a zero row, or a row sum that underflows against mu
+        dead = [states[i] for i in np.flatnonzero(c <= 0.0)]
+        raise ZeroConductance(f"conductance W / mu is zero at states: {dead}")
     bidx = None if boundary is None else index_set(n, boundary, "boundary")
     return Network(states, _readonly(mu), _readonly(W), bidx)
 
@@ -257,9 +237,13 @@ def symmetrize(W_raw, mu, states=None) -> Network:
     return build_network(states, mu, 0.5 * (W_raw + W_raw.T))
 
 
-def derive(net: Network) -> DerivedMeasures:
-    """Conductance, stationary measure, transition matrix, conditional rows."""
-    return DerivedMeasures(net)
+def derive(net: Network) -> Network:
+    """Return ``net``, which holds every derived measure itself.
+
+    Kept only because the benchmark's per-layer metric ``net.derive_s`` names
+    it; it goes when the benchmark drops that metric.
+    """
+    return net
 
 
 def reweight(net: Network, p) -> ReweightResult:
@@ -273,12 +257,17 @@ def reweight(net: Network, p) -> ReweightResult:
     p = _check_vector(p, net.n, "p")
     if np.any(p <= 0.0):
         raise NonpositiveWeight("reweighting density must be strictly positive")
-    R = derive(net).rho_x
+    R = net.rho_x
     comm = p[:, None] * R - R * p[None, :]
     scale = max(1.0, float(np.max(np.abs(p[:, None] * R))))
     commutes = bool(np.max(np.abs(comm)) <= COMMUTE_RTOL * scale)
     net2 = build_network(net.states, p * net.mu, net.W, boundary=net.boundary)
     return ReweightResult(net2, commutes)
+
+
+def _step(net: Network, states: np.ndarray) -> np.ndarray:
+    """Mask of the states with positive coupling from some state of the mask ``states``."""
+    return np.any(net.W[states] > 0.0, axis=0)
 
 
 def reachable(net: Network, sources) -> np.ndarray:
@@ -287,7 +276,7 @@ def reachable(net: Network, sources) -> np.ndarray:
     seen[list(sources)] = True
     frontier = seen.copy()
     while frontier.any():
-        frontier = np.any(net.W[frontier] > 0.0, axis=0) & ~seen
+        frontier = _step(net, frontier) & ~seen
         seen |= frontier
     return seen
 
@@ -333,7 +322,11 @@ def attainability(net: Network, x: int, A) -> Optional[int]:
 
     Returns ``None`` when no walk from ``x`` reaches ``A``.  Walk lengths are
     counted on the coupling support, so the answer is exact for the kernel
-    powers (positive mass iff a walk of that exact length exists).
+    powers (positive mass iff a walk of that exact length exists).  The set
+    of states hit by a walk of exactly ``k`` steps is one :func:`_step` from
+    the set for ``k - 1``; since a walk of length ``k`` extends to one of
+    length ``k + 2``, these sets only grow along each parity, and ``2n``
+    steps reach every attainable state.
     """
     A = list(index_set(net.n, A, "target set"))
     if not A:
@@ -341,13 +334,10 @@ def attainability(net: Network, x: int, A) -> Optional[int]:
     (x,) = index_set(net.n, [x], "start state")
     if not reachable(net, [x])[A].any():
         return None
-    adj = net.support().astype(np.int64)
-    target = np.zeros(net.n, dtype=bool)
-    target[A] = True
-    reach = np.zeros(net.n, dtype=np.int64)
-    reach[x] = 1
-    for n in range(1, 2 * net.n + 1):
-        reach = np.minimum(adj.T @ reach, 1)  # states hit in exactly n steps
-        if np.any((reach > 0) & target):
-            return n
+    hit = np.zeros(net.n, dtype=bool)
+    hit[x] = True
+    for k in range(1, 2 * net.n + 1):
+        hit = _step(net, hit)  # states hit in exactly k steps
+        if hit[A].any():
+            return k
     return None

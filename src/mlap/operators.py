@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NegativePower
-from .net import Network, components, derive, index_set
+from .net import Network, components, index_set
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def laplacian_matrix(net: Network) -> np.ndarray:
 
 def operator_bundle(net: Network) -> OperatorBundle:
     delta = net.c[:, None] * (np.eye(net.n) - net.P)
-    return OperatorBundle(derive(net).rho_x, net.P, delta)
+    return OperatorBundle(net.rho_x, net.P, delta)
 
 
 def apply_R(net: Network, f) -> np.ndarray:

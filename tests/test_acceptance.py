@@ -31,19 +31,18 @@ def test_criterion_01_reversibility_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     for net in _nets().values():
-        d = mlap.derive(net)
         scale = max(1.0, float(np.max(net.W)))
-        flux = d.nu[:, None] * d.P
+        flux = net.nu[:, None] * net.P
         worst = max(worst, float(np.max(np.abs(flux - flux.T))) / scale)
-        s = np.sqrt(d.nu)
+        s = np.sqrt(net.nu)
         S = net.W / np.outer(s, s)
         worst = max(worst, float(np.max(np.abs(S - S.T))))
-        worst = max(worst, float(np.max(np.abs(d.nu @ d.P - d.nu))) / scale)
-        M = np.diag(d.nu).astype(float)
+        worst = max(worst, float(np.max(np.abs(net.nu @ net.P - net.nu))) / scale)
+        M = np.diag(net.nu).astype(float)
         for _ in range(7):
             # symmetry of diag(nu) P^n covers every pair-mass set pair at once
             worst = max(worst, float(np.max(np.abs(M - M.T))) / scale)
-            M = M @ d.P
+            M = M @ net.P
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     _verdict(1, "reversibility-equivalence", ok, f"max residual {worst:.2e}, {elapsed:.2f} s")
@@ -70,7 +69,6 @@ def test_criterion_03_indicator_geometry():
     worst = 0.0
     for net in _nets().values():
         assert net.n <= 6
-        d = mlap.derive(net)
         subsets = all_subsets(net.n)
         chis = {tuple(A): indicator(net, A) for A in subsets}
         for A in subsets:
@@ -80,7 +78,7 @@ def test_criterion_03_indicator_geometry():
             worst = max(worst, abs(got - cross) / max(1.0, abs(cross)))
             for B in subsets:
                 inter = sorted(set(A) & set(B))
-                want = float(np.sum(d.nu[inter])) - float(net.W[np.ix_(A, B)].sum())
+                want = float(np.sum(net.nu[inter])) - float(net.W[np.ix_(A, B)].sum())
                 got = mlap.energy_inner(net, chis[tuple(A)], chis[tuple(B)])
                 worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     ok = worst <= 1e-12
@@ -151,11 +149,10 @@ def test_criterion_07_green_exactness():
     gap_exact = float(np.max(np.abs(G - np.array([[2.0, 2.0], [1.0, 2.0]]))))
     Gn = mlap.green_operator(net, [2], "neumann", tol=1e-12)
     gap_series = float(np.max(np.abs(G - Gn)))
-    d = mlap.derive(net)
     worst_delta = 0.0
     for A in ([0], [1], [0, 1]):
         gA = mlap.green_indicator(net, [2], A)
-        resid = (mlap.apply_Delta(net, gA) - d.c * indicator(net, A))[[0, 1]]
+        resid = (mlap.apply_Delta(net, gA) - net.c * indicator(net, A))[[0, 1]]
         worst_delta = max(worst_delta, float(np.max(np.abs(resid))))
     ok = gap_exact <= 1e-12 and gap_series <= 1e-10 and worst_delta <= 1e-9
     detail = f"G gap {gap_exact:.2e}, series gap {gap_series:.2e}, density gap {worst_delta:.2e}"

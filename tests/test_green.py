@@ -74,8 +74,7 @@ def test_green_indicator_path(path):
     gA = mlap.green_indicator(path, [2], [1])
     G = mlap.green_operator(path, [2])
     np.testing.assert_allclose(gA, [G[0, 1], G[1, 1], 0.0], atol=1e-12)
-    d = mlap.derive(path)
-    resid = mlap.apply_Delta(path, gA) - d.c * indicator(path, [1])
+    resid = mlap.apply_Delta(path, gA) - path.c * indicator(path, [1])
     np.testing.assert_allclose(resid[[0, 1]], 0.0, atol=1e-9)
 
 
@@ -92,8 +91,7 @@ def test_green_difference_density(path):
     gA = mlap.green_indicator(path, [2], [0])
     gB = mlap.green_indicator(path, [2], [1])
     omega = gA - gB
-    d = mlap.derive(path)
-    want = d.c * (indicator(path, [0]) - indicator(path, [1]))
+    want = path.c * (indicator(path, [0]) - indicator(path, [1]))
     resid = mlap.apply_Delta(path, omega) - want
     np.testing.assert_allclose(resid[[0, 1]], 0.0, atol=1e-9)
 
@@ -104,7 +102,6 @@ def test_green_reproducing_and_span(any_net, rng):
     interior = list(killed.config.interior)
     if not interior:
         pytest.skip("no interior")
-    d = mlap.derive(any_net)
     columns = []
     for i in interior:
         gA = mlap.green_indicator(any_net, bnd, [i])
@@ -113,7 +110,7 @@ def test_green_reproducing_and_span(any_net, rng):
             f = rng.standard_normal(any_net.n)
             f[list(killed.config.boundary)] = 0.0
             lhs = mlap.energy_inner(any_net, f, gA)
-            assert lhs == pytest.approx(d.nu[i] * f[i], rel=1e-10, abs=1e-10)
+            assert lhs == pytest.approx(any_net.nu[i] * f[i], rel=1e-10, abs=1e-10)
     # singleton Green functions span the boundary-vanishing subspace
     rank = np.linalg.matrix_rank(np.array(columns))
     assert rank == len(interior)
@@ -134,9 +131,8 @@ def test_kernel_knu_disjoint(two_comp):
 
 def test_kernel_K_path_series_oracle(path):
     kg = mlap.kernel_gram(path, "K", [[0]], boundary=[2])
-    d = mlap.derive(path)
     G = mlap.green_operator(path, [2])
-    assert kg.gram[0, 0] == pytest.approx(d.nu[0] * G[0, 0], rel=1e-12)
+    assert kg.gram[0, 0] == pytest.approx(path.nu[0] * G[0, 0], rel=1e-12)
     assert kg.gram[0, 0] == pytest.approx(2.0, rel=1e-12)
     # truncated series with geometric tail bound
     killed = mlap.killed_restriction(path, [2])
@@ -144,7 +140,7 @@ def test_kernel_K_path_series_oracle(path):
     total, term = 0.0, chi.copy()
     r = killed.spectral_radius
     while True:
-        total += float(np.sum(d.nu[[0, 1]] * chi * term))
+        total += float(np.sum(path.nu[[0, 1]] * chi * term))
         term = killed.P_int @ term
         if np.max(np.abs(term)) * 2.0 * r / (1 - r) < 1e-13:
             break
@@ -243,17 +239,16 @@ def test_rkhs_membership_criterion(path, rng):
 def test_knu_representation_gram_solve(any_net, rng):
     fam = [list(np.flatnonzero(rng.random(any_net.n) < 0.5)) or [0] for _ in range(5)]
     gram = mlap.kernel_gram(any_net, "K_nu", fam).gram
-    d = mlap.derive(any_net)
     coef = rng.standard_normal(len(fam))
     f = np.zeros(any_net.n)
     for c, A in zip(coef, fam):
         f += c * indicator(any_net, A)
-    target = np.array([float(np.sum(d.nu[A] * f[A])) for A in fam])
+    target = np.array([float(np.sum(any_net.nu[A] * f[A])) for A in fam])
     beta, *_ = np.linalg.lstsq(gram, target, rcond=None)
     np.testing.assert_allclose(gram @ beta, target, atol=1e-9 * max(1.0, np.max(np.abs(target))))
     # the represented functional has L2(nu) norm of the projected density
     norm2 = float(beta @ gram @ beta)
-    assert norm2 <= float(np.sum(d.nu * f * f)) + 1e-9
+    assert norm2 <= float(np.sum(any_net.nu * f * f)) + 1e-9
 
 
 def test_mu_f_rkhs_norm_reproducing_element(tri):

@@ -47,11 +47,10 @@ def test_product_fixture_closed_form_on_load(tmp_path):
     mlap.emit_fixtures(str(tmp_path))
     net = load_network(str(tmp_path / "product_measure.json"))
     rng = np.random.default_rng(1)
-    d = mlap.derive(net)
     e_r = float(np.sum(net.W)) ** 0.5  # total coupling = E_mu(r)^2
     for _ in range(5):
         f = rng.standard_normal(net.n)
-        w = d.nu / e_r  # recovers r_i mu_i
+        w = net.nu / e_r  # recovers r_i mu_i
         closed = e_r * float(np.sum(w * f * f)) - float(np.sum(w * f)) ** 2
         assert mlap.energy_inner(net, f, f) == pytest.approx(closed, rel=1e-10)
 
@@ -482,6 +481,28 @@ def test_cli_loader_rejects_an_overflowing_coupling(tmp_path, capsys, weights):
     assert main(["--net", str(path), "inspect"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+
+
+@pytest.mark.parametrize("mu0, w", [(1e-300, 1e10), (1e308, 1e-20)])
+def test_cli_loader_rejects_a_conductance_out_of_range(tmp_path, capsys, mu0, w):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"schema": "mlap-net/1",
+                                "states": [{"id": "a", "mu": mu0}, {"id": "b", "mu": 1.0}],
+                                "edges": [{"i": "a", "j": "b", "w": w}]}))
+    for argv in (["inspect"], ["energy", "--f", "[1,0]"]):
+        assert main(["--net", str(path)] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: conductance W / mu") and err.count("\n") == 1
+
+
+def test_cli_learn_rejects_a_gamma_that_overflows(fixture_dir, capsys):
+    code = main(["--net", str(fixture_dir / "triangle.json"),
+                 "learn", "--gamma", "1e308", "--target", "[1,0,0]"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: gamma 1e+308 overflows") and err.count("\n") == 1
 
 
 PIPELINE_FORMS = {

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ def test_negative_gamma_rejected(tri):
 def test_nonfinite_gamma_rejected(tri, gamma):
     with pytest.raises(NegativeGamma):
         mlap.LearnProblem(tri, np.zeros(3), gamma)
+
+
+def test_gamma_that_overflows_the_diagonal_rejected(tri):
+    # mu + gamma * nu = 1 + 2e308 is inf; the minimizer would be 1/3 everywhere
+    problem = mlap.LearnProblem(tri, np.array([1.0, 0.0, 0.0]), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NegativeGamma, match="gamma 1e\\+308 overflows"):
+            mlap.solve_regularized(problem)
 
 
 def test_large_gamma_limits_to_mean(tri, rng):
@@ -114,9 +125,8 @@ def test_product_network_conductance():
     mu = np.full(5, 0.2)
     r = rng.uniform(0.2, 2.0, 5)
     net = mlap.product_measure_network(mu, r)
-    d = mlap.derive(net)
     e_r = float(np.sum(mu * r))
-    np.testing.assert_allclose(d.c, e_r * r, rtol=1e-12)
+    np.testing.assert_allclose(net.c, e_r * r, rtol=1e-12)
 
 
 def test_product_uniform_covariance_exact():
@@ -189,8 +199,7 @@ def test_joining_identity_map():
 def test_joining_involution_coboundary(rng):
     S = [1, 0, 3, 2]
     net = mlap.joining_network([1.0, 1.0, 2.0, 2.0], S)
-    d = mlap.derive(net)
-    np.testing.assert_allclose(d.c, 1.0, atol=1e-14)
+    np.testing.assert_allclose(net.c, 1.0, atol=1e-14)
     for _ in range(10):
         f = rng.standard_normal(4)
         np.testing.assert_allclose(
@@ -214,5 +223,5 @@ def test_diagonal_network_properties(rng):
     for _ in range(5):
         f = rng.standard_normal(3)
         assert mlap.energy_inner(net, f, f) == pytest.approx(0.0, abs=1e-13)
-    np.testing.assert_allclose(mlap.derive(net).P, np.eye(3))
+    np.testing.assert_allclose(net.P, np.eye(3))
     np.testing.assert_allclose(mlap.spectrum_P(net), 1.0, atol=1e-13)

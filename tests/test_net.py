@@ -1,3 +1,5 @@
+import warnings
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from mlap import (
 )
 from mlap.net import Network
 
-from conftest import FIXTURE_MAKERS
+from conftest import FIXTURE_MAKERS, all_subsets, valid_networks
 
 
 def test_build_triangle_valid(tri):
@@ -83,21 +85,18 @@ def test_symmetrize_preserves_total_mass(rng):
 
 def test_derive_row_sum_oracle(tri, path):
     for net, c_expect in [(tri, [2.0, 2.0, 2.0]), (path, [1.0, 2.0, 1.0])]:
-        d = mlap.derive(net)
-        np.testing.assert_allclose(d.c, np.asarray(c_expect))
-        np.testing.assert_allclose(d.nu, net.W.sum(axis=1))
-        np.testing.assert_allclose(d.rho_x, net.W / net.mu[:, None])
+        np.testing.assert_allclose(net.c, np.asarray(c_expect))
+        np.testing.assert_allclose(net.nu, net.W.sum(axis=1))
+        np.testing.assert_allclose(net.rho_x, net.W / net.mu[:, None])
 
 
 def test_total_stationary_mass(any_net):
-    d = mlap.derive(any_net)
-    assert d.nu.sum() == pytest.approx(any_net.W.sum(), rel=1e-14)
+    assert any_net.nu.sum() == pytest.approx(any_net.W.sum(), rel=1e-14)
 
 
 def test_markov_rows_and_detailed_balance(any_net):
-    d = mlap.derive(any_net)
-    np.testing.assert_allclose(d.P.sum(axis=1), 1.0, atol=1e-12)
-    flux = d.nu[:, None] * d.P
+    np.testing.assert_allclose(any_net.P.sum(axis=1), 1.0, atol=1e-12)
+    flux = any_net.nu[:, None] * any_net.P
     np.testing.assert_allclose(flux, flux.T, atol=1e-12 * max(1.0, any_net.W.max()))
 
 
@@ -181,7 +180,7 @@ def test_attainability_direct_edge(tri):
 
 def test_attainability_matrix_power_oracle(path):
     # support of P^n computed by explicit powers
-    P = mlap.derive(path).P
+    P = path.P
     hits = {}
     M = np.eye(path.n)
     for n in range(1, 7):
@@ -197,6 +196,37 @@ def test_attainability_unreachable(two_comp):
     assert mlap.attainability(two_comp, 0, [3, 4]) is None
 
 
+def _dense_attainability(net, x, A):
+    """Reference: exact-length walks as int64 matvecs with the support matrix, up to 2n steps."""
+    adj = (net.W > 0.0).astype(np.int64)
+    reach = np.zeros(net.n, dtype=np.int64)
+    reach[x] = 1
+    for n in range(1, 2 * net.n + 1):
+        reach = np.minimum(adj.T @ reach, 1)  # states hit in exactly n steps
+        if np.any(reach[list(A)] > 0):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MAKERS))
+def test_attainability_matches_the_dense_walk_on_fixtures(name):
+    net = FIXTURE_MAKERS[name]()
+    for x in range(net.n):
+        for A in all_subsets(net.n):
+            assert mlap.attainability(net, x, A) == _dense_attainability(net, x, A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_networks())
+def test_attainability_matches_the_dense_walk(case):
+    net, rng = case
+    for x in range(net.n):
+        targets = [[y] for y in range(net.n)]
+        targets.append(np.flatnonzero(rng.random(net.n) < 0.4).tolist() or [x])
+        for A in targets:
+            assert mlap.attainability(net, x, A) == _dense_attainability(net, x, A)
+
+
 def test_attainability_empty_set(tri):
     with pytest.raises(EmptyTargetSet):
         mlap.attainability(tri, 0, [])
@@ -204,9 +234,8 @@ def test_attainability_empty_set(tri):
 
 def test_scaled_coupling_gives_proportional_stationary(any_net):
     scaled = mlap.build_network(any_net.states, any_net.mu, 4.0 * any_net.W)
-    d1, d2 = mlap.derive(any_net), mlap.derive(scaled)
-    np.testing.assert_allclose(d2.P, d1.P, atol=1e-14)
-    np.testing.assert_allclose(d2.nu, 4.0 * d1.nu, rtol=1e-14)
+    np.testing.assert_allclose(scaled.P, any_net.P, atol=1e-14)
+    np.testing.assert_allclose(scaled.nu, 4.0 * any_net.nu, rtol=1e-14)
 
 
 def test_all_fixtures_valid():
@@ -227,19 +256,19 @@ def test_build_symmetry_tolerance_scales_with_coupling():
 
 
 def test_derive_returns_the_same_readonly_arrays(any_net):
-    d1, d2 = mlap.derive(any_net), mlap.derive(any_net)
+    assert mlap.derive(any_net) is any_net
     for name in ("c", "nu", "P"):
-        a, b = getattr(d1, name), getattr(d2, name)
+        a, b = getattr(any_net, name), getattr(any_net, name)
         assert a is b
         assert not a.flags.writeable
-    assert not d1.rho_x.flags.writeable
+    assert not any_net.rho_x.flags.writeable
 
 
 def test_directly_built_network_derives_its_measures():
     net = Network(("a", "b"), np.array([1.0, 2.0]), np.array([[0.0, 2.0], [2.0, 1.0]]), None)
     np.testing.assert_array_equal(net.nu, [2.0, 3.0])
     np.testing.assert_array_equal(net.c, [2.0, 1.5])
-    np.testing.assert_array_equal(mlap.derive(net).P, [[0.0, 1.0], [2.0 / 3.0, 1.0 / 3.0]])
+    np.testing.assert_array_equal(net.P, [[0.0, 1.0], [2.0 / 3.0, 1.0 / 3.0]])
 
 
 def test_state_ids_with_colliding_string_forms_rejected():
@@ -336,3 +365,24 @@ def test_build_stores_extreme_symmetric_weights_bit_for_bit():
     W = np.array([[5e-324, 8e307, 0.0], [8e307, 0.0, 2.5e-320], [0.0, 2.5e-320, 1e-310]])
     net = mlap.build_network(range(3), np.ones(3), W)
     assert np.array_equal(net.W, W)
+
+
+@pytest.mark.parametrize("mu0, w, error", [
+    (1e-300, 1e10, DimensionMismatch),  # c = 1e10 / 1e-300 overflows to inf
+    (1e308, 1e-20, ZeroConductance),  # c = 1e-20 / 1e308 underflows to 0
+])
+def test_build_rejects_a_conductance_out_of_range(mu0, w, error):
+    W = np.array([[0.0, w], [w, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="conductance W / mu"):
+            mlap.build_network(("a", "b"), [mu0, 1.0], W)
+
+
+@pytest.mark.parametrize("mu0, w", [(1e-300, 1e-10), (1e308, 1e-5)])
+def test_build_stores_an_extreme_finite_conductance_bit_for_bit(mu0, w):
+    # c = 1e290 and c = 1e-313 (subnormal) are finite and positive
+    mu, W = np.array([mu0, 1.0]), np.array([[0.0, w], [w, 0.0]])
+    net = mlap.build_network(("a", "b"), mu, W)
+    assert np.array_equal(net.mu, mu) and np.array_equal(net.W, W)
+    assert np.all(np.isfinite(net.c)) and np.all(net.c > 0.0)

@@ -24,8 +24,7 @@ def test_apply_R_direct_summation(tri):
 
 
 def test_R_of_ones_is_conductance(any_net):
-    d = mlap.derive(any_net)
-    np.testing.assert_allclose(mlap.apply_R(any_net, np.ones(any_net.n)), d.c, rtol=1e-14)
+    np.testing.assert_allclose(mlap.apply_R(any_net, np.ones(any_net.n)), any_net.c, rtol=1e-14)
 
 
 def test_R_symmetric_pairing(any_net, rng):
@@ -39,11 +38,10 @@ def test_R_symmetric_pairing(any_net, rng):
 
 def test_apply_P_and_Delta_direct_summation(tri):
     f = np.array([1.0, 0.0, 0.0])
-    d = mlap.derive(tri)
-    p_expect = apply_R_oracle(tri, f) / d.c
+    p_expect = apply_R_oracle(tri, f) / tri.c
     np.testing.assert_allclose(mlap.apply_P(tri, f), p_expect)
     np.testing.assert_allclose(mlap.apply_P(tri, f), [0.0, 0.5, 0.5])
-    np.testing.assert_allclose(mlap.apply_Delta(tri, f), d.c * f - apply_R_oracle(tri, f))
+    np.testing.assert_allclose(mlap.apply_Delta(tri, f), tri.c * f - apply_R_oracle(tri, f))
     np.testing.assert_allclose(mlap.apply_Delta(tri, f), [2.0, -1.0, -1.0])
 
 
@@ -55,8 +53,7 @@ def test_constants_are_fixed(any_net):
 
 def test_diagonal_coupling_is_deterministic():
     net = diagonal_network([1.0, 2.0, 3.0])
-    d = mlap.derive(net)
-    np.testing.assert_allclose(d.P, np.eye(3))
+    np.testing.assert_allclose(net.P, np.eye(3))
     f = np.array([2.0, -1.0, 5.0])
     np.testing.assert_allclose(mlap.apply_Delta(net, f), 0.0, atol=1e-14)
 
@@ -70,31 +67,30 @@ def test_shape_errors(tri):
 
 def test_markov_power_and_pair_mass(tri):
     np.testing.assert_array_equal(mlap.markov_power(tri, 0), np.eye(3))
-    P = mlap.derive(tri).P
+    P = tri.P
     np.testing.assert_allclose(mlap.markov_power(tri, 3), P @ P @ P)
     with pytest.raises(NegativePower):
         mlap.markov_power(tri, -1)
 
 
 def test_rho_zero_is_intersection_mass(any_net, rng):
-    d = mlap.derive(any_net)
     for _ in range(5):
         A = list(np.flatnonzero(rng.random(any_net.n) < 0.6)) or [0]
         B = list(np.flatnonzero(rng.random(any_net.n) < 0.6)) or [0]
         inter = sorted(set(A) & set(B))
-        assert mlap.rho_n(any_net, A, B, 0) == pytest.approx(d.nu[inter].sum(), abs=1e-13)
+        assert mlap.rho_n(any_net, A, B, 0) == pytest.approx(any_net.nu[inter].sum(), abs=1e-13)
 
 
 def test_rho_two_matrix_power_oracle(tri):
-    P2 = mlap.derive(tri).P
+    P2 = tri.P
     P2 = P2 @ P2
-    expected = mlap.derive(tri).nu[0] * P2[0, 0]
+    expected = tri.nu[0] * P2[0, 0]
     assert expected == pytest.approx(1.0)
     assert mlap.rho_n(tri, [0], [0], 2) == pytest.approx(expected, rel=1e-14)
 
 
 def test_spectrum_triangle_eigensolver_oracle(tri):
-    nu = mlap.derive(tri).nu
+    nu = tri.nu
     S = tri.W / np.sqrt(np.outer(nu, nu))
     expected = np.sort(np.linalg.eigvalsh(S))
     got = mlap.spectrum_P(tri)
@@ -129,12 +125,11 @@ def test_harmonic_basis_null_space_oracle(any_net):
     dim = null_space_dim(bundle.Delta_mat)
     basis = mlap.harmonic_basis(any_net)
     assert len(basis) == dim - 1  # null space includes global constants
-    d = mlap.derive(any_net)
     for h in basis:
         np.testing.assert_allclose(mlap.apply_Delta(any_net, h), 0.0, atol=1e-12)
-        assert np.sum(d.nu * h) == pytest.approx(0.0, abs=1e-12)
+        assert np.sum(any_net.nu * h) == pytest.approx(0.0, abs=1e-12)
     if len(basis):
-        gram = (basis * d.nu) @ basis.T
+        gram = (basis * any_net.nu) @ basis.T
         np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
 
 
@@ -159,9 +154,8 @@ def test_operator_bundle_invariants(any_net):
 
 def test_iota_adjoint_triangle_indicator(tri):
     f = np.array([1.0, 0.0, 0.0])
-    d = mlap.derive(tri)
     lhs = energy_double_sum(tri, f, f)
-    rhs = np.sum(d.nu * f * (f - mlap.apply_P(tri, f)))
+    rhs = np.sum(tri.nu * f * (f - mlap.apply_P(tri, f)))
     assert lhs == pytest.approx(2.0)
     assert rhs == pytest.approx(2.0)
     assert mlap.iota_adjoint_residual(tri, f, f) <= 1e-12
@@ -173,13 +167,12 @@ def test_iota_adjoint_constant_g(any_net, rng):
 
 
 def test_iota_adjoint_random_and_norm_bound(any_net, rng):
-    d = mlap.derive(any_net)
     for _ in range(100):
         f = rng.standard_normal(any_net.n)
         g = rng.standard_normal(any_net.n)
         assert mlap.iota_adjoint_residual(any_net, f, g) <= 1e-10
         energy = mlap.energy_inner(any_net, f, f)
-        l2 = np.sum(d.nu * f * f)
+        l2 = np.sum(any_net.nu * f * f)
         assert energy <= 2.0 * l2 + 1e-12 * max(1.0, l2)
 
 
@@ -223,40 +216,37 @@ def test_j_adjoint_random(any_net, rng):
 
 
 def test_P_contractive_both_norms(any_net, rng):
-    d = mlap.derive(any_net)
     for _ in range(30):
         f = rng.standard_normal(any_net.n)
         pf = mlap.apply_P(any_net, f)
-        assert np.sum(d.nu * pf * pf) <= np.sum(d.nu * f * f) * (1 + 1e-12)
-        assert np.sum(d.nu * np.abs(pf)) <= np.sum(d.nu * np.abs(f)) * (1 + 1e-12)
+        assert np.sum(any_net.nu * pf * pf) <= np.sum(any_net.nu * f * f) * (1 + 1e-12)
+        assert np.sum(any_net.nu * np.abs(pf)) <= np.sum(any_net.nu * np.abs(f)) * (1 + 1e-12)
         rf = mlap.apply_R(any_net, f)
-        assert np.sum(any_net.mu * np.abs(rf)) <= np.sum(d.nu * np.abs(f)) * (1 + 1e-12)
-        assert np.sum(any_net.mu * rf) == pytest.approx(np.sum(f * d.c * any_net.mu), rel=1e-12, abs=1e-12)
+        assert np.sum(any_net.mu * np.abs(rf)) <= np.sum(any_net.nu * np.abs(f)) * (1 + 1e-12)
+        assert np.sum(any_net.mu * rf) == pytest.approx(np.sum(f * any_net.c * any_net.mu), rel=1e-12, abs=1e-12)
 
 
 def test_stationarity(any_net):
-    d = mlap.derive(any_net)
-    np.testing.assert_allclose(d.nu @ d.P, d.nu, rtol=1e-12)
+    np.testing.assert_allclose(any_net.nu @ any_net.P, any_net.nu, rtol=1e-12)
 
 
 def test_restriction_convergence(path):
     # nested exhaustion {1} subset {0,1} subset {0,1,2}: restricted conductance,
     # coupling action and Laplacian converge entrywise and agree exactly at V
     f = np.array([0.3, -1.2, 2.0])
-    d = mlap.derive(path)
     chain = [[1], [0, 1], [0, 1, 2]]
     prev_gap = np.inf
     for A in chain:
         idx = np.array(A)
         W_sub = path.W[np.ix_(idx, idx)]
         c_sub = W_sub.sum(axis=1) / path.mu[idx]
-        gap = np.max(np.abs(c_sub - d.c[idx]))
+        gap = np.max(np.abs(c_sub - path.c[idx]))
         assert gap <= prev_gap + 1e-15
         prev_gap = gap
     idx = np.arange(3)
     W_sub = path.W
     c_sub = W_sub.sum(axis=1) / path.mu
-    np.testing.assert_array_equal(c_sub, d.c)
+    np.testing.assert_array_equal(c_sub, path.c)
     R_sub = W_sub @ f / path.mu
     np.testing.assert_array_equal(R_sub, mlap.apply_R(path, f))
     np.testing.assert_array_equal(c_sub * f - R_sub, mlap.apply_Delta(path, f))

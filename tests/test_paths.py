@@ -50,7 +50,7 @@ def test_empirical_transition_binomial_oracle(tri):
 
 def test_empirical_start_law(tri):
     batch = mlap.sample_paths(tri, 11, 1, 60000, "nu")
-    nu = mlap.derive(tri).nu
+    nu = tri.nu
     freq = np.bincount(batch.paths[:, 0], minlength=3) / batch.count
     np.testing.assert_allclose(freq, nu / nu.sum(), atol=0.01)
 
@@ -96,10 +96,9 @@ def test_dissipation_constant(any_net):
 
 def test_dissipation_triangle_direct_summation(tri):
     f = indicator(tri, [0])
-    d = mlap.derive(tri)
     pf = mlap.apply_P(tri, f)
     var = mlap.apply_P(tri, f * f) - pf * pf
-    assert float(np.sum(d.nu * var)) == pytest.approx(1.0)
+    assert float(np.sum(tri.nu * var)) == pytest.approx(1.0)
     split = mlap.dissipation_norm(tri, f)
     assert split["variance_term"] == pytest.approx(1.0)
     assert split["dissipation_term"] == pytest.approx(3.0)
@@ -173,12 +172,11 @@ def test_variance_invariance_constant(any_net):
 
 def test_variance_invariance_triangle_matrix_power_oracle(tri):
     f = np.array([1.0, 0.0, 0.0])
-    d = mlap.derive(tri)
-    pf = d.P @ f
-    g = d.P @ (f * f) - pf * pf  # one-step conditional variance profile
-    m = d.nu.copy()
+    pf = tri.P @ f
+    g = tri.P @ (f * f) - pf * pf  # one-step conditional variance profile
+    m = tri.nu.copy()
     for _ in range(2):  # distribute nu over two more steps for n = 3
-        m = m @ d.P
+        m = m @ tri.P
     expected_nth = float(np.sum(m * g))
     first, nth = mlap.variance_invariance(tri, f, 3)
     assert nth == pytest.approx(expected_nth, rel=1e-14)
@@ -201,26 +199,24 @@ def test_variance_invariance_random(any_net, rng):
 
 
 def test_step_norm_matches_pair_mass(any_net, rng):
-    d = mlap.derive(any_net)
     for n in range(5):
         A = list(np.flatnonzero(rng.random(any_net.n) < 0.5)) or [0]
         v = indicator(any_net, A)
         for _ in range(n):
-            v = d.P @ v
-        lhs = float(np.sum(d.nu * v * v))
+            v = any_net.P @ v
+        lhs = float(np.sum(any_net.nu * v * v))
         assert lhs == pytest.approx(mlap.rho_n(any_net, A, A, 2 * n), rel=1e-10, abs=1e-12)
 
 
 def test_step_inner_products_telescope(any_net, rng):
-    d = mlap.derive(any_net)
     for k in range(4):
         for l in range(4):
             A = list(np.flatnonzero(rng.random(any_net.n) < 0.5)) or [0]
             pk, pl = indicator(any_net, A), indicator(any_net, A)
             for _ in range(k):
-                pk = d.P @ pk
+                pk = any_net.P @ pk
             for _ in range(l):
-                pl = d.P @ pl
+                pl = any_net.P @ pl
             lhs = mlap.energy_inner(any_net, pk, pl)
             rhs = mlap.rho_n(any_net, A, A, k + l) - mlap.rho_n(any_net, A, A, k + l + 1)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
